@@ -10,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/bpf/folio_local_storage.h"
@@ -54,6 +55,23 @@ void BM_RegistryContains(benchmark::State& state) {
 }
 BENCHMARK(BM_RegistryContains);
 
+// What hook dispatch pays instead of BM_RegistryContains: the page cache
+// hands hooks a pinned folio, resolved through its registry owner slot.
+void BM_RegistryFindTrusted(benchmark::State& state) {
+  FolioRegistry registry(1 << 16);
+  std::vector<std::unique_ptr<Folio>> folios;
+  for (int i = 0; i < 4096; ++i) {
+    folios.push_back(std::make_unique<Folio>());
+    registry.Insert(folios.back().get());
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        registry.FindTrusted(folios[i++ % folios.size()].get()));
+  }
+}
+BENCHMARK(BM_RegistryFindTrusted);
+
 // --- Eviction-list kfuncs ----------------------------------------------------
 
 void BM_ListAddDel(benchmark::State& state) {
@@ -87,15 +105,32 @@ void BM_ListMoveToHead(benchmark::State& state) {
 }
 BENCHMARK(BM_ListMoveToHead);
 
-void BM_ListIterateScore512(benchmark::State& state) {
+// One 512-folio batch-scoring pass (LFU's eviction walk) per iteration over
+// a list of `nr_folios`, rotating scanned folios to the tail. `shuffled`
+// links the folios in random order rather than allocation order.
+void ListIterateScore512(benchmark::State& state, int nr_folios,
+                         bool shuffled) {
   FolioRegistry registry(1 << 16);
   CacheExtApi api(&registry);
   const uint64_t list = *api.ListCreate();
   std::vector<std::unique_ptr<Folio>> folios;
-  for (int i = 0; i < 1024; ++i) {
+  for (int i = 0; i < nr_folios; ++i) {
     folios.push_back(std::make_unique<Folio>());
+    folios.back()->index = static_cast<uint64_t>(i);
     registry.Insert(folios.back().get());
-    (void)api.ListAdd(list, folios.back().get(), true);
+  }
+  std::vector<Folio*> order;
+  for (auto& folio : folios) {
+    order.push_back(folio.get());
+  }
+  if (shuffled) {
+    Rng rng(11);
+    for (size_t i = order.size() - 1; i > 0; --i) {
+      std::swap(order[i], order[rng.NextU64Below(i + 1)]);
+    }
+  }
+  for (Folio* folio : order) {
+    (void)api.ListAdd(list, folio, true);
   }
   const auto iterate_once = [&] {
     EvictionCtx ctx;
@@ -127,7 +162,21 @@ void BM_ListIterateScore512(benchmark::State& state) {
   state.counters["arena_capacity_bytes"] =
       static_cast<double>(arena.capacity);
 }
+
+// 1024 folios linked in allocation order: the whole list stays in L1/L2.
+void BM_ListIterateScore512(benchmark::State& state) {
+  ListIterateScore512(state, 1024, /*shuffled=*/false);
+}
 BENCHMARK(BM_ListIterateScore512);
+
+// 64Ki folios (about 13 MiB of folios and list nodes, more than L2) linked
+// in shuffled order: each scanned folio is likely a miss on its node and
+// on the folio, as in a workload's eviction batch, where the walk competes
+// with the read path for the caches.
+void BM_ListIterateScore512Cold(benchmark::State& state) {
+  ListIterateScore512(state, 1 << 16, /*shuffled=*/true);
+}
+BENCHMARK(BM_ListIterateScore512Cold);
 
 // --- bpf primitives ------------------------------------------------------------
 

@@ -214,7 +214,7 @@ int32_t CacheExtApi::CurrentTid() const {
 }
 
 void CacheExtApi::UnlinkForRemoval(Folio* folio) {
-  ExtListNode* node = registry_->Find(folio);
+  ExtListNode* node = registry_->FindTrusted(folio);
   if (node == nullptr) {
     return;
   }

@@ -166,7 +166,8 @@ class CacheExtApi {
                           EvictionCtx* ctx, const ScoreFn& fn);
 
   // Framework-internal (not a kfunc): unlink a folio during removal cleanup
-  // without charging any program budget. Not observed.
+  // without charging any program budget. Not observed. `folio` comes from
+  // the page cache, live, so it is resolved with FolioRegistry::FindTrusted.
   void UnlinkForRemoval(Folio* folio);
 
   uint64_t nr_lists() const;

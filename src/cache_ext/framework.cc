@@ -69,7 +69,9 @@ void CacheExtPolicy::FolioAdded(Folio* folio) {
 }
 
 void CacheExtPolicy::FolioAccessed(Folio* folio) {
-  if (!registry_.Contains(folio)) {
+  // The page cache pinned this folio for the hook, so the registry trusts
+  // it and resolves it through its owner slot (no hash probe).
+  if (registry_.FindTrusted(folio) == nullptr) {
     // Should not happen (attach introduces resident folios), but a policy
     // must never observe unregistered folios.
     FolioAdded(folio);
@@ -82,7 +84,7 @@ void CacheExtPolicy::FolioAccessed(Folio* folio) {
 }
 
 void CacheExtPolicy::FolioRemoved(Folio* folio) {
-  if (!registry_.Contains(folio)) {
+  if (registry_.FindTrusted(folio) == nullptr) {
     return;
   }
   // Tell the policy first (it cleans its maps while the folio is still

@@ -7,23 +7,51 @@
 
 namespace cache_ext {
 
-FolioRegistry::FolioRegistry(uint64_t nr_buckets)
-    : buckets_(nr_buckets == 0 ? 1 : nr_buckets) {}
+namespace {
+// Registry ids tag folio owner slots; 0 means "no owner" and no id is ever
+// handed out twice, so a stale tag can never match a later registry.
+std::atomic<uint64_t> next_registry_id{1};
+}  // namespace
 
-FolioRegistry::~FolioRegistry() {
-  for (Bucket& bucket : buckets_) {
-    Entry* entry = bucket.head;
-    while (entry != nullptr) {
-      Entry* next = entry->hash_next;
-      delete entry;
-      entry = next;
-    }
-  }
-}
+FolioRegistry::FolioRegistry(uint64_t nr_buckets)
+    : id_(next_registry_id.fetch_add(1, std::memory_order_relaxed)),
+      buckets_(nr_buckets == 0 ? 1 : nr_buckets) {}
+
+// Entries die with their slab chunks. Folios still tagged with this
+// registry's id are left alone (they may already be gone): the id is never
+// reused, so their stale tags never match again.
+FolioRegistry::~FolioRegistry() = default;
 
 size_t FolioRegistry::BucketFor(const Folio* folio) const {
   // Pointer-hash: folios are heap objects, so scramble the address.
   return Mix64(reinterpret_cast<uintptr_t>(folio)) % buckets_.size();
+}
+
+// size_ changes only under slab_lock_, so a plain load and store update it.
+FolioRegistry::Entry* FolioRegistry::AllocEntry() {
+  bpf::SpinLockGuard guard(slab_lock_);
+  size_.store(size_.load(std::memory_order_relaxed) + 1,
+              std::memory_order_relaxed);
+  if (free_ == nullptr) {
+    auto chunk = std::make_unique<Entry[]>(kSlabChunkEntries);
+    for (size_t i = kSlabChunkEntries; i-- > 0;) {  // hand out in order
+      chunk[i].hash_next = free_;
+      free_ = &chunk[i];
+    }
+    chunks_.push_back(std::move(chunk));
+  }
+  Entry* entry = free_;
+  free_ = entry->hash_next;
+  *entry = Entry();
+  return entry;
+}
+
+void FolioRegistry::FreeEntry(Entry* entry) {
+  bpf::SpinLockGuard guard(slab_lock_);
+  size_.store(size_.load(std::memory_order_relaxed) - 1,
+              std::memory_order_relaxed);
+  entry->hash_next = free_;
+  free_ = entry;
 }
 
 bool FolioRegistry::Insert(Folio* folio) {
@@ -34,11 +62,12 @@ bool FolioRegistry::Insert(Folio* folio) {
       return false;
     }
   }
-  auto* entry = new Entry();
+  Entry* entry = AllocEntry();
   entry->node.folio = folio;
   entry->hash_next = bucket.head;
   bucket.head = entry;
-  size_.fetch_add(1, std::memory_order_relaxed);
+  folio->ext_registry_node.store(&entry->node, std::memory_order_relaxed);
+  folio->ext_registry_id.store(id_, std::memory_order_release);
   return true;
 }
 
@@ -51,8 +80,12 @@ bool FolioRegistry::Remove(Folio* folio) {
     if (entry->node.folio == folio) {
       DCHECK(!entry->node.OnList());
       *link = entry->hash_next;
-      delete entry;
-      size_.fetch_sub(1, std::memory_order_relaxed);
+      // Registered, so live: clear the owner slot if it is still ours.
+      if (folio->ext_registry_id.load(std::memory_order_relaxed) == id_) {
+        folio->ext_registry_id.store(0, std::memory_order_relaxed);
+        folio->ext_registry_node.store(nullptr, std::memory_order_relaxed);
+      }
+      FreeEntry(entry);
       return true;
     }
     link = &entry->hash_next;
@@ -84,6 +117,11 @@ ExtListNode* FolioRegistry::Find(const Folio* folio) {
 
 uint64_t FolioRegistry::Size() const {
   return size_.load(std::memory_order_relaxed);
+}
+
+uint64_t FolioRegistry::slab_chunks() const {
+  bpf::SpinLockGuard guard(slab_lock_);
+  return chunks_.size();
 }
 
 uint64_t FolioRegistry::MemoryBytes() const {

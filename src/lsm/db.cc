@@ -129,14 +129,13 @@ std::string LsmDb::NewFileName() {
   return std::string(buf);
 }
 
-Expected<std::shared_ptr<SSTableReader>> LsmDb::OpenTable(Lane& lane,
-                                                          FileMeta* meta) {
+Expected<SSTableReader*> LsmDb::OpenTable(Lane& lane, FileMeta* meta) {
   if (meta->reader == nullptr) {
     auto reader = SSTableReader::Open(pc_, cg_, meta->name, lane);
     CACHE_EXT_RETURN_IF_ERROR(reader.status());
-    meta->reader = std::shared_ptr<SSTableReader>(std::move(*reader));
+    meta->reader = std::move(*reader);
   }
-  return meta->reader;
+  return meta->reader.get();
 }
 
 Status LsmDb::Put(Lane& lane, std::string_view key, std::string_view value) {
@@ -181,7 +180,7 @@ Expected<std::string> LsmDb::Get(Lane& lane, std::string_view key) {
       if ((*rec)->tombstone) {
         return NotFound("deleted");
       }
-      return (*rec)->value;
+      return std::move((*rec)->value);
     }
   }
   // 3. Deeper levels: at most one candidate file per level.
@@ -201,7 +200,7 @@ Expected<std::string> LsmDb::Get(Lane& lane, std::string_view key) {
       if ((*rec)->tombstone) {
         return NotFound("deleted");
       }
-      return (*rec)->value;
+      return std::move((*rec)->value);
     }
   }
   return NotFound("no such key");
@@ -219,7 +218,7 @@ Expected<std::vector<Record>> LsmDb::Scan(Lane& lane, std::string_view start,
     auto table = OpenTable(lane, &meta);
     CACHE_EXT_RETURN_IF_ERROR(table.status());
     sources.push_back(
-        std::make_unique<TableSource>(table->get(), lane, start));
+        std::make_unique<TableSource>(*table, lane, start));
   }
   for (size_t level = 1; level < levels_.size(); ++level) {
     // Non-overlapping files: open from the first file that can contain
@@ -243,7 +242,7 @@ Expected<std::vector<Record>> LsmDb::Scan(Lane& lane, std::string_view start,
       auto table = OpenTable(lane, &*it);
       CACHE_EXT_RETURN_IF_ERROR(table.status());
       sources.push_back(
-          std::make_unique<TableSource>(table->get(), lane, start));
+          std::make_unique<TableSource>(*table, lane, start));
     }
   }
 
@@ -398,12 +397,12 @@ Status LsmDb::MergeFiles(int input_level, std::vector<size_t> input_indices,
   for (const size_t i : input_indices) {
     auto table = OpenTable(lane, &inputs[i]);
     CACHE_EXT_RETURN_IF_ERROR(table.status());
-    sources.push_back(std::make_unique<TableSource>(table->get(), lane, ""));
+    sources.push_back(std::make_unique<TableSource>(*table, lane, ""));
   }
   for (const size_t i : overlap_indices) {
     auto table = OpenTable(lane, &outputs[i]);
     CACHE_EXT_RETURN_IF_ERROR(table.status());
-    sources.push_back(std::make_unique<TableSource>(table->get(), lane, ""));
+    sources.push_back(std::make_unique<TableSource>(*table, lane, ""));
   }
 
   const bool bottom_level = output_level == options_.num_levels - 1;

@@ -89,12 +89,12 @@ class LsmDb {
     std::string largest;
     uint64_t size = 0;
     uint64_t number = 0;
-    std::shared_ptr<SSTableReader> reader;  // opened lazily
+    std::unique_ptr<SSTableReader> reader;  // opened lazily
   };
 
   std::string NewFileName();
-  Expected<std::shared_ptr<SSTableReader>> OpenTable(Lane& lane,
-                                                     FileMeta* meta);
+  // The file's reader, opened on first use. Owned by `meta`.
+  Expected<SSTableReader*> OpenTable(Lane& lane, FileMeta* meta);
 
   Status FlushMemtable(Lane& lane);
   Status MaybeCompact(Lane& trigger_lane);

@@ -101,8 +101,14 @@ Expected<std::unique_ptr<SSTableReader>> SSTableReader::Open(
   const uint64_t index_offset = GetFixed64(footer);
   const uint64_t index_size = GetFixed64(footer + 8);
   const uint64_t magic = GetFixed64(footer + 16);
-  if (magic != kSstMagic || index_offset + index_size + 24 != file_size) {
+  if (magic != kSstMagic || index_size > file_size - 24 ||
+      index_offset != file_size - 24 - index_size) {
     return Corruption("bad sstable footer: " + std::string(name));
+  }
+
+  // Block keys are addressed by 32-bit offsets into one buffer.
+  if (index_size > UINT32_MAX) {
+    return Corruption("sstable index too large: " + std::string(name));
   }
 
   std::vector<uint8_t> index(index_size);
@@ -110,6 +116,7 @@ Expected<std::unique_ptr<SSTableReader>> SSTableReader::Open(
                                      std::span<uint8_t>(index)));
   const uint8_t* p = index.data();
   const uint8_t* limit = p + index.size();
+  uint64_t data_end = 0;  // where the next block must start
   while (p < limit) {
     uint32_t klen = 0;
     const size_t n = GetVarint32(p, limit, &klen);
@@ -117,13 +124,21 @@ Expected<std::unique_ptr<SSTableReader>> SSTableReader::Open(
       return Corruption("bad sstable index: " + std::string(name));
     }
     p += n;
-    IndexEntry entry;
-    entry.last_key.assign(reinterpret_cast<const char*>(p), klen);
+    const char* key = reinterpret_cast<const char*>(p);
     p += klen;
-    entry.offset = GetFixed64(p);
-    entry.size = GetFixed64(p + 8);
+    const BlockHandle block{GetFixed64(p), GetFixed64(p + 8)};
     p += 16;
-    reader->index_.push_back(std::move(entry));
+    // Blocks tile the data region back to back (the iterator reads runs of
+    // them as one range). A corrupt offset or size would otherwise reach a
+    // read, and an allocation, of arbitrary length.
+    if (block.offset != data_end || block.size > index_offset - block.offset) {
+      return Corruption("sstable block out of range: " + std::string(name));
+    }
+    data_end = block.offset + block.size;
+    reader->blocks_.push_back(block);
+    reader->last_keys_.append(key, klen);
+    reader->last_key_offsets_.push_back(
+        static_cast<uint32_t>(reader->last_keys_.size()));
   }
   return reader;
 }
@@ -134,19 +149,38 @@ Status SSTableReader::ReadBlock(Lane& lane, uint64_t offset, uint64_t size,
   return pc_->Read(lane, as_, cg_, offset, std::span<uint8_t>(*out));
 }
 
-Expected<std::optional<Record>> SSTableReader::Get(Lane& lane,
-                                                   std::string_view key) {
-  // Binary search: first block whose last_key >= key.
-  auto it = std::lower_bound(
-      index_.begin(), index_.end(), key,
-      [](const IndexEntry& e, std::string_view k) { return e.last_key < k; });
-  if (it == index_.end()) {
-    return std::optional<Record>();
+size_t SSTableReader::FindBlock(std::string_view key) const {
+  size_t lo = 0;
+  size_t hi = blocks_.size();
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (LastKey(mid) < key) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
   }
-  std::vector<uint8_t> block;
-  CACHE_EXT_RETURN_IF_ERROR(ReadBlock(lane, it->offset, it->size, &block));
-  const uint8_t* p = block.data();
-  const uint8_t* limit = p + block.size();
+  return lo;
+}
+
+Expected<std::optional<PointRecord>> SSTableReader::Get(Lane& lane,
+                                                        std::string_view key) {
+  const size_t b = FindBlock(key);
+  if (b == blocks_.size()) {
+    return std::optional<PointRecord>();
+  }
+  const BlockHandle& block = blocks_[b];
+  uint8_t stack_buf[kStackBlockBytes];
+  std::unique_ptr<uint8_t[]> heap_buf;
+  uint8_t* buf = stack_buf;
+  if (block.size > sizeof(stack_buf)) {
+    heap_buf = std::make_unique_for_overwrite<uint8_t[]>(block.size);
+    buf = heap_buf.get();
+  }
+  CACHE_EXT_RETURN_IF_ERROR(pc_->Read(lane, as_, cg_, block.offset,
+                                      std::span<uint8_t>(buf, block.size)));
+  const uint8_t* p = buf;
+  const uint8_t* limit = p + block.size;
   while (p < limit) {
     uint32_t klen = 0;
     uint32_t vlen = 0;
@@ -163,23 +197,21 @@ Expected<std::optional<Record>> SSTableReader::Get(Lane& lane,
     const bool tombstone = *p++ != 0;
     std::string_view rec_key(reinterpret_cast<const char*>(p), klen);
     if (rec_key == key) {
-      Record rec;
-      rec.key.assign(rec_key);
-      rec.value.assign(reinterpret_cast<const char*>(p + klen), vlen);
-      rec.tombstone = tombstone;
-      return std::optional<Record>(std::move(rec));
+      return std::optional<PointRecord>(PointRecord{
+          std::string(reinterpret_cast<const char*>(p + klen), vlen),
+          tombstone});
     }
     if (rec_key > key) {
-      return std::optional<Record>();
+      return std::optional<PointRecord>();
     }
     p += klen + vlen;
   }
-  return std::optional<Record>();
+  return std::optional<PointRecord>();
 }
 
 SSTableReader::Iterator::Iterator(SSTableReader* table, Lane& lane)
     : table_(table), lane_(lane) {
-  if (!table_->index_.empty()) {
+  if (!table_->blocks_.empty()) {
     if (LoadSegment(0).ok()) {
       valid_ = ParseNext();
     }
@@ -189,12 +221,12 @@ SSTableReader::Iterator::Iterator(SSTableReader* table, Lane& lane)
 Status SSTableReader::Iterator::LoadSegment(size_t block_idx) {
   segment_first_block_ = block_idx;
   segment_nr_blocks_ =
-      std::min(kSegmentBlocks, table_->index_.size() - block_idx);
+      std::min(kSegmentBlocks, table_->blocks_.size() - block_idx);
   segment_pos_ = 0;
   // Blocks are laid out back to back, so the segment is one contiguous
   // byte range — one large sequential read.
-  const auto& first = table_->index_[block_idx];
-  const auto& last = table_->index_[block_idx + segment_nr_blocks_ - 1];
+  const BlockHandle& first = table_->blocks_[block_idx];
+  const BlockHandle& last = table_->blocks_[block_idx + segment_nr_blocks_ - 1];
   const uint64_t bytes = last.offset + last.size - first.offset;
   return table_->ReadBlock(lane_, first.offset, bytes, &segment_data_);
 }
@@ -236,7 +268,7 @@ Status SSTableReader::Iterator::Next() {
   }
   // Advance to the next segment.
   const size_t next_block = segment_first_block_ + segment_nr_blocks_;
-  if (next_block < table_->index_.size()) {
+  if (next_block < table_->blocks_.size()) {
     CACHE_EXT_RETURN_IF_ERROR(LoadSegment(next_block));
     valid_ = ParseNext();
   } else {
@@ -246,17 +278,12 @@ Status SSTableReader::Iterator::Next() {
 }
 
 Status SSTableReader::Iterator::Seek(std::string_view target) {
-  auto it = std::lower_bound(table_->index_.begin(), table_->index_.end(),
-                             target,
-                             [](const IndexEntry& e, std::string_view k) {
-                               return e.last_key < k;
-                             });
-  if (it == table_->index_.end()) {
+  const size_t b = table_->FindBlock(target);
+  if (b == table_->blocks_.size()) {
     valid_ = false;
     return OkStatus();
   }
-  CACHE_EXT_RETURN_IF_ERROR(
-      LoadSegment(static_cast<size_t>(it - table_->index_.begin())));
+  CACHE_EXT_RETURN_IF_ERROR(LoadSegment(b));
   valid_ = ParseNext();
   while (valid_ && record_.key < target) {
     CACHE_EXT_RETURN_IF_ERROR(Next());

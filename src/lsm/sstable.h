@@ -10,12 +10,15 @@
 //
 // The reader keeps the parsed index in memory (the role LevelDB's table
 // cache plays) but reads every data block through the page cache, which is
-// what makes the eviction policy matter.
+// what makes the eviction policy matter. The index's last keys sit back to
+// back in one buffer, so a binary search probes one contiguous region
+// instead of a heap string per block.
 
 #ifndef SRC_LSM_SSTABLE_H_
 #define SRC_LSM_SSTABLE_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -27,6 +30,13 @@ namespace cache_ext::lsm {
 
 struct Record {
   std::string key;
+  std::string value;
+  bool tombstone = false;
+};
+
+// What a point lookup finds for a key present in a table: its value, or a
+// tombstone.
+struct PointRecord {
   std::string value;
   bool tombstone = false;
 };
@@ -77,8 +87,13 @@ class SSTableReader {
                                                        Lane& lane);
 
   // Point lookup. Returns nullopt if the key is not in this table; a present
-  // record may be a tombstone.
-  Expected<std::optional<Record>> Get(Lane& lane, std::string_view key);
+  // record may be a tombstone. The block is read into a stack buffer when it
+  // fits (kStackBlockBytes), else into an uninitialised heap buffer.
+  Expected<std::optional<PointRecord>> Get(Lane& lane, std::string_view key);
+
+  // Default blocks are cut once they reach 4096 bytes, so they overshoot
+  // 4 KiB by at most one record.
+  static constexpr size_t kStackBlockBytes = 8192;
 
   // Sequential iterator over all records (used by compaction and scans).
   // Reads the file in multi-block segments (64 KiB), the way LevelDB and
@@ -116,8 +131,7 @@ class SSTableReader {
   const std::string& name() const { return name_; }
 
  private:
-  struct IndexEntry {
-    std::string last_key;  // largest key in the block
+  struct BlockHandle {
     uint64_t offset;
     uint64_t size;
   };
@@ -125,6 +139,14 @@ class SSTableReader {
   SSTableReader(PageCache* pc, MemCgroup* cg, AddressSpace* as,
                 std::string name)
       : pc_(pc), cg_(cg), as_(as), name_(std::move(name)) {}
+
+  // Largest key in block i.
+  std::string_view LastKey(size_t i) const {
+    return std::string_view(last_keys_.data() + last_key_offsets_[i],
+                            last_key_offsets_[i + 1] - last_key_offsets_[i]);
+  }
+  // Index of the first block whose last key is >= key, or blocks_.size().
+  size_t FindBlock(std::string_view key) const;
 
   Status ReadBlock(Lane& lane, uint64_t offset, uint64_t size,
                    std::vector<uint8_t>* out);
@@ -134,7 +156,11 @@ class SSTableReader {
   AddressSpace* as_;
   std::string name_;
   uint64_t file_size_ = 0;
-  std::vector<IndexEntry> index_;
+  std::vector<BlockHandle> blocks_;
+  // Every block's last key, back to back; block i's key spans
+  // [last_key_offsets_[i], last_key_offsets_[i + 1]).
+  std::string last_keys_;
+  std::vector<uint32_t> last_key_offsets_{0};
 
   friend class Iterator;
 };

@@ -23,6 +23,7 @@ namespace cache_ext {
 
 class AddressSpace;
 class MemCgroup;
+struct ExtListNode;
 
 inline constexpr uint64_t kPageSize = 4096;
 
@@ -75,6 +76,16 @@ struct Folio {
   // with a CAS by the owning map, detached on every free path by
   // ~Folio via FolioStorageDirectory::OnFolioFree.
   std::array<std::atomic<void*>, kFolioLocalStorageSlots> bpf_storage = {};
+
+  // Owner slot of the cache_ext valid-folio registry (§4.4), in the same
+  // spirit as the storage slots above: the id of the registry that last
+  // inserted this folio and the folio's list node there, so hook dispatch
+  // resolves the node with one load and a tag compare instead of a hash
+  // probe. Written by FolioRegistry::Insert and cleared by its Remove.
+  // Registry ids are never reused, so a slot left behind by a destroyed
+  // registry never matches a live one (src/cache_ext/registry.h).
+  std::atomic<uint64_t> ext_registry_id{0};
+  std::atomic<ExtListNode*> ext_registry_node{nullptr};
 
   ~Folio() { FolioStorageDirectory::Instance().OnFolioFree(this); }
 

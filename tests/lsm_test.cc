@@ -4,11 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 
 #include "src/lsm/db.h"
+#include "src/lsm/format.h"
 #include "src/lsm/skiplist.h"
 #include "src/lsm/sstable.h"
 #include "src/util/rng.h"
@@ -198,6 +200,132 @@ TEST_F(SstableTest, OpenRejectsCorruptFile) {
   ASSERT_TRUE(disk_.WriteAt(*id, 0, std::span<const uint8_t>(junk)).ok());
   EXPECT_FALSE(SSTableReader::Open(pc_.get(), cg_, "/garbage", lane).ok());
   EXPECT_FALSE(SSTableReader::Open(pc_.get(), cg_, "/tiny", lane).ok());
+}
+
+// Rewrites the block handle of index entry `entry` in the table at `name`
+// through `edit`. Keys must be shorter than 128 bytes (one-byte length
+// varints).
+void EditIndexEntry(SimDisk& disk, PageCache& pc, const char* name, int entry,
+                    const std::function<void(uint64_t* offset,
+                                             uint64_t* size)>& edit) {
+  auto as = pc.OpenFile(name);
+  ASSERT_TRUE(as.ok());
+  const FileId id = (*as)->file();
+  const uint64_t file_size = pc.FileSize(*as);
+  uint8_t footer[24];
+  ASSERT_TRUE(disk.ReadAt(id, file_size - 24, std::span<uint8_t>(footer, 24))
+                  .ok());
+  uint64_t pos = GetFixed64(footer);  // index offset
+  for (int i = 0;; ++i) {
+    uint8_t klen = 0;
+    ASSERT_TRUE(disk.ReadAt(id, pos, std::span<uint8_t>(&klen, 1)).ok());
+    ASSERT_LT(klen, 0x80);
+    pos += 1 + klen;
+    if (i == entry) {
+      break;
+    }
+    pos += 16;
+  }
+  uint8_t handle[16];
+  ASSERT_TRUE(disk.ReadAt(id, pos, std::span<uint8_t>(handle, 16)).ok());
+  uint64_t offset = GetFixed64(handle);
+  uint64_t size = GetFixed64(handle + 8);
+  edit(&offset, &size);
+  std::string encoded;
+  PutFixed64(&encoded, offset);
+  PutFixed64(&encoded, size);
+  ASSERT_TRUE(disk.WriteAt(id, pos,
+                           std::span<const uint8_t>(
+                               reinterpret_cast<const uint8_t*>(
+                                   encoded.data()),
+                               encoded.size()))
+                  .ok());
+}
+
+TEST_F(SstableTest, OpenRejectsIndexEntryOutsideDataRegion) {
+  Lane lane = MakeLane();
+  const char* names[] = {"/huge_size", "/wrapping_range", "/past_index",
+                         "/gap"};
+  for (const char* name : names) {
+    SSTableBuilder builder(pc_.get(), cg_, name);
+    for (int i = 0; i < 200; ++i) {
+      char key[16];
+      std::snprintf(key, sizeof(key), "key%06d", i);
+      ASSERT_TRUE(builder.Add(key, std::string(100, 'v'), false).ok());
+    }
+    ASSERT_TRUE(builder.Finish(lane).ok());
+    ASSERT_TRUE(SSTableReader::Open(pc_.get(), cg_, name, lane).ok());
+  }
+  // A size that would reach Get as a 2^50-byte read.
+  EditIndexEntry(disk_, *pc_, "/huge_size", 0,
+                 [](uint64_t*, uint64_t* size) { *size = uint64_t{1} << 50; });
+  // The second block starts where it should, but offset + size wraps
+  // around to 95, inside the data region.
+  EditIndexEntry(disk_, *pc_, "/wrapping_range", 1,
+                 [](uint64_t* offset, uint64_t* size) {
+                   *size = ~uint64_t{0} - *offset + 96;
+                 });
+  // A block that runs into the index.
+  EditIndexEntry(disk_, *pc_, "/past_index", 0,
+                 [](uint64_t*, uint64_t* size) { *size = 64 << 10; });
+  // A block that does not start where the previous one ends.
+  EditIndexEntry(disk_, *pc_, "/gap", 1,
+                 [](uint64_t* offset, uint64_t*) { *offset += 1; });
+  for (const char* name : names) {
+    auto reader = SSTableReader::Open(pc_.get(), cg_, name, lane);
+    ASSERT_FALSE(reader.ok()) << name;
+    EXPECT_EQ(reader.status().code(), ErrorCode::kCorruption) << name;
+  }
+}
+
+TEST_F(SstableTest, GetReadsBlocksLargerThanTheStackBuffer) {
+  Lane lane = MakeLane();
+  SSTableBuilder builder(pc_.get(), cg_, "/big");
+  // Every other record carries a 16 KiB value, so those blocks are twice
+  // the stack buffer; the rest are small and share blocks.
+  std::map<std::string, std::string> expected;
+  for (int i = 0; i < 40; ++i) {
+    char key[16];
+    std::snprintf(key, sizeof(key), "key%06d", i * 2);
+    std::string value;
+    if (i % 2 == 0) {
+      value.resize(16 << 10);
+      for (size_t b = 0; b < value.size(); ++b) {
+        value[b] = static_cast<char>((b * 131 + static_cast<size_t>(i)) & 0xFF);
+      }
+    } else {
+      value = "small" + std::to_string(i);
+    }
+    const bool tombstone = i == 7;
+    ASSERT_TRUE(builder.Add(key, tombstone ? "" : value, tombstone).ok());
+    if (!tombstone) {
+      expected[key] = value;
+    }
+  }
+  ASSERT_TRUE(builder.Finish(lane).ok());
+  auto reader = SSTableReader::Open(pc_.get(), cg_, "/big", lane);
+  ASSERT_TRUE(reader.ok());
+  static_assert((16 << 10) > SSTableReader::kStackBlockBytes);
+
+  for (const auto& [key, value] : expected) {
+    auto rec = (*reader)->Get(lane, key);
+    ASSERT_TRUE(rec.ok()) << key;
+    ASSERT_TRUE(rec->has_value()) << key;
+    EXPECT_FALSE((*rec)->tombstone) << key;
+    EXPECT_EQ((*rec)->value, value) << key;
+  }
+  auto dead = (*reader)->Get(lane, "key000014");
+  ASSERT_TRUE(dead.ok());
+  ASSERT_TRUE(dead->has_value());
+  EXPECT_TRUE((*dead)->tombstone);
+  // Missing keys: before the first, between two (odd numbers), past the
+  // last.
+  for (const char* missing : {"a", "key000001", "key000041", "key000079",
+                              "zzz"}) {
+    auto rec = (*reader)->Get(lane, missing);
+    ASSERT_TRUE(rec.ok()) << missing;
+    EXPECT_FALSE(rec->has_value()) << missing;
+  }
 }
 
 // --- LsmDb ----------------------------------------------------------------

@@ -6,6 +6,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/cache_ext/framework.h"
 #include "src/cache_ext/registry.h"
 #include "src/util/rng.h"
 
@@ -129,6 +130,116 @@ TEST(RegistryTest, ConcurrentInsertRemoveContains) {
     th.join();
   }
   EXPECT_EQ(registry.Size(), 0u);
+}
+
+// --- Owner slots: the trusted lookup ---------------------------------------
+
+TEST(RegistryOwnershipTest, TrustedLookupAgreesWithHashAcrossInsertRemove) {
+  FolioRegistry registry(16);  // small: chains of several entries
+  std::vector<std::unique_ptr<Folio>> folios;
+  for (int i = 0; i < 64; ++i) {
+    folios.push_back(std::make_unique<Folio>());
+  }
+  Rng rng(0xB0A7);
+  for (int step = 0; step < 5000; ++step) {
+    Folio* folio = folios[rng.NextU64Below(folios.size())].get();
+    if (rng.NextU64Below(2) == 0) {
+      registry.Insert(folio);
+    } else {
+      registry.Remove(folio);
+    }
+    for (const auto& f : folios) {
+      ASSERT_EQ(registry.FindTrusted(f.get()), registry.Find(f.get()))
+          << "step " << step;
+      ASSERT_EQ(registry.FindTrusted(f.get()) != nullptr,
+                registry.Contains(f.get()))
+          << "step " << step;
+    }
+  }
+}
+
+TEST(RegistryOwnershipTest, StaleTagFromDestroyedRegistryNeverMatches) {
+  Folio folio;
+  {
+    FolioRegistry old_registry(64);
+    ASSERT_TRUE(old_registry.Insert(&folio));
+    ASSERT_NE(old_registry.FindTrusted(&folio), nullptr);
+  }  // destroyed with the folio still tagged
+  FolioRegistry fresh(64);
+  EXPECT_EQ(fresh.FindTrusted(&folio), nullptr);
+  EXPECT_FALSE(fresh.Contains(&folio));
+  ASSERT_TRUE(fresh.Insert(&folio));
+  ASSERT_NE(fresh.FindTrusted(&folio), nullptr);
+  EXPECT_EQ(fresh.FindTrusted(&folio)->folio, &folio);
+}
+
+TEST(RegistryOwnershipTest, FirstAccessAfterReattachReRegisters) {
+  MemCgroup cg(1, "/reattach", 64);
+  int added = 0;
+  int accessed = 0;
+  Ops ops;
+  ops.name = "counting";
+  ops.policy_init = [](CacheExtApi&, MemCgroup*) -> int32_t { return 0; };
+  ops.evict_folios = [](CacheExtApi&, EvictionCtx*, MemCgroup*) {};
+  ops.folio_added = [&added](CacheExtApi&, Folio*) { ++added; };
+  ops.folio_accessed = [&accessed](CacheExtApi&, Folio*) { ++accessed; };
+  ops.folio_removed = [](CacheExtApi&, Folio*) {};
+
+  Folio folio;
+  {
+    CacheExtPolicy first(ops, &cg, CpuCostModel{});
+    first.FolioAdded(&folio);
+    first.FolioAccessed(&folio);
+    EXPECT_EQ(added, 1);
+    EXPECT_EQ(accessed, 1);
+  }  // detached: the folio keeps the first registry's tag
+
+  CacheExtPolicy second(ops, &cg, CpuCostModel{});
+  EXPECT_EQ(second.registry().FindTrusted(&folio), nullptr);
+  // The first access re-registers the folio (the added program runs, not
+  // the accessed one), and later accesses find it.
+  second.FolioAccessed(&folio);
+  EXPECT_EQ(added, 2);
+  EXPECT_EQ(accessed, 1);
+  EXPECT_TRUE(second.registry().Contains(&folio));
+  second.FolioAccessed(&folio);
+  EXPECT_EQ(added, 2);
+  EXPECT_EQ(accessed, 2);
+  second.FolioRemoved(&folio);
+  EXPECT_FALSE(second.registry().Contains(&folio));
+  EXPECT_EQ(second.registry().FindTrusted(&folio), nullptr);
+}
+
+// --- Slab -------------------------------------------------------------------
+
+TEST(RegistrySlabTest, WarmSlabAllocatesNoNewChunks) {
+  constexpr size_t kFolios = 3 * FolioRegistry::kSlabChunkEntries - 1;
+  FolioRegistry registry(1024);
+  std::vector<std::unique_ptr<Folio>> folios;
+  for (size_t i = 0; i < kFolios; ++i) {
+    folios.push_back(std::make_unique<Folio>());
+  }
+  EXPECT_EQ(registry.slab_chunks(), 0u);
+  for (auto& folio : folios) {
+    ASSERT_TRUE(registry.Insert(folio.get()));
+  }
+  const uint64_t warm_chunks = registry.slab_chunks();
+  EXPECT_EQ(warm_chunks, 3u);
+  for (auto& folio : folios) {
+    ASSERT_TRUE(registry.Remove(folio.get()));
+  }
+  // Admission/eviction churn at or below the warm population reuses freed
+  // entries.
+  Rng rng(7);
+  for (int step = 0; step < 20000; ++step) {
+    Folio* folio = folios[rng.NextU64Below(folios.size())].get();
+    if (registry.Contains(folio)) {
+      ASSERT_TRUE(registry.Remove(folio));
+    } else {
+      ASSERT_TRUE(registry.Insert(folio));
+    }
+  }
+  EXPECT_EQ(registry.slab_chunks(), warm_chunks);
 }
 
 }  // namespace
