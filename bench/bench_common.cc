@@ -65,98 +65,57 @@ ArmResult RunYcsbArm(std::string_view policy,
   arm.total_ops =
       static_cast<uint64_t>(config.lanes) * config.ops_per_lane;
 
-  // Steady-state probe: the cache is at capacity now, so further reclaim
-  // must reuse the eviction arena. Any alloc-bytes growth across this
-  // burst is a steady-state heap allocation.
-  const uint64_t alloc_before = arm.cache_stats.ext_evict_alloc_bytes;
+  // A short burst with the cache at capacity; the counters are read after
+  // it, so they cover steady-state reclaim as well as the measured run.
   std::vector<harness::LaneSpec> probe_lanes;
   probe_lanes.push_back(harness::LaneSpec{
       &gen, TaskContext{100, 100 + config.lanes},
       std::max<uint64_t>(config.ops_per_lane / 10, 500)});
   auto probe = harness::RunKvWorkload(db->get(), cg, probe_lanes, options);
   if (probe.ok()) {
-    const CgroupCacheStats after = env.cache().StatsFor(cg);
-    arm.steady_state_evict_alloc_bytes =
-        after.ext_evict_alloc_bytes - alloc_before;
-    arm.cache_stats = after;
+    arm.cache_stats = env.cache().StatsFor(cg);
   }
   return arm;
 }
 
-void PrintExtCounters(
-    const std::string& title,
-    const std::vector<std::pair<std::string, ArmResult>>& arms) {
-  harness::Table table(title,
-                       {"policy", "map lookups", "local-storage hits",
-                        "slot hit rate", "evict alloc", "arena reuses",
-                        "steady-state alloc", "lockless lookups",
-                        "lockless retries", "jit compiles", "jit ns",
-                        "interp fallbacks"});
-  for (const auto& [label, arm] : arms) {
-    const CgroupCacheStats& st = arm.cache_stats;
-    const uint64_t resolutions =
-        st.ext_map_lookups + st.ext_local_storage_hits;
-    const double hit_rate =
-        resolutions == 0
-            ? 0.0
-            : 100.0 * static_cast<double>(st.ext_local_storage_hits) /
-                  static_cast<double>(resolutions);
-    table.AddRow({label, harness::FormatCount(st.ext_map_lookups),
-                  harness::FormatCount(st.ext_local_storage_hits),
-                  harness::FormatDouble(hit_rate, 1) + "%",
-                  harness::FormatBytes(st.ext_evict_alloc_bytes),
-                  harness::FormatCount(st.ext_evict_arena_reuses),
-                  harness::FormatBytes(arm.steady_state_evict_alloc_bytes),
-                  harness::FormatCount(st.ext_lockless_lookups),
-                  harness::FormatCount(st.ext_lockless_retries),
-                  harness::FormatCount(st.ext_ir_jit_compiles),
-                  harness::FormatCount(st.ext_ir_jit_ns),
-                  harness::FormatCount(st.ext_ir_interp_fallbacks)});
+namespace {
+
+std::string FormatStat(StatUnit unit, uint64_t value) {
+  switch (unit) {
+    case StatUnit::kCount:
+      return harness::FormatCount(value);
+    case StatUnit::kNs:
+      return harness::FormatNs(value);
+    case StatUnit::kBytes:
+      return harness::FormatBytes(value);
   }
-  table.Print();
+  return "?";
 }
 
-void PrintReclaimCounters(
-    const std::string& title,
-    const std::vector<std::pair<std::string, ArmResult>>& arms) {
-  harness::Table table(title,
-                       {"arm", "wakeups", "bg batches", "bg evicted",
-                        "bg reclaim", "direct entries", "direct reclaim",
-                        "emergency", "trips", "psi some", "psi full"});
-  for (const auto& [label, arm] : arms) {
-    const CgroupCacheStats& st = arm.cache_stats;
-    table.AddRow({label, harness::FormatCount(st.reclaim_wakeups),
-                  harness::FormatCount(st.reclaim_background_batches),
-                  harness::FormatCount(st.reclaim_background_evicted),
-                  harness::FormatNs(st.ext_background_reclaim_ns),
-                  harness::FormatCount(st.reclaim_direct_entries),
-                  harness::FormatNs(st.ext_direct_reclaim_ns),
-                  harness::FormatCount(st.reclaim_emergency_entries),
-                  harness::FormatCount(st.reclaim_watchdog_trips),
-                  harness::FormatNs(st.psi_some_ns),
-                  harness::FormatNs(st.psi_full_ns)});
-  }
-  table.Print();
-}
+}  // namespace
 
-void PrintWritebackCounters(
-    const std::string& title,
-    const std::vector<std::pair<std::string, ArmResult>>& arms) {
-  harness::Table table(title,
-                       {"arm", "dirty gauge", "wakeups", "ticks", "extents",
-                        "deferred", "throttles", "throttle ns", "wb ns",
-                        "syncs"});
+void PrintCounters(const std::string& title,
+                   const std::vector<std::pair<std::string, ArmResult>>& arms,
+                   const std::vector<std::string_view>& names) {
+  std::vector<std::string> columns = {"arm"};
+  columns.insert(columns.end(), names.begin(), names.end());
+  harness::Table table(title, std::move(columns));
   for (const auto& [label, arm] : arms) {
-    const CgroupCacheStats& st = arm.cache_stats;
-    table.AddRow({label, harness::FormatCount(st.dirty_pages),
-                  harness::FormatCount(st.writeback_wakeups),
-                  harness::FormatCount(st.writeback_flush_ticks),
-                  harness::FormatCount(st.writeback_extents),
-                  harness::FormatCount(st.writeback_deferred_pages),
-                  harness::FormatCount(st.writeback_throttle_entries),
-                  harness::FormatNs(st.ext_dirty_throttle_ns),
-                  harness::FormatNs(st.ext_writeback_ns),
-                  harness::FormatCount(st.writeback_sync_entries)});
+    std::vector<std::string> row = {label};
+    for (std::string_view name : names) {
+      const size_t cells = row.size();
+      ForEachStat(arm.cache_stats, [&](const StatDesc& desc, uint64_t value) {
+        if (desc.name == name) {
+          row.push_back(FormatStat(desc.unit, value));
+        }
+      });
+      if (row.size() == cells) {
+        std::fprintf(stderr, "bench: no counter named %s\n",
+                     std::string(name).c_str());
+        std::exit(1);
+      }
+    }
+    table.AddRow(std::move(row));
   }
   table.Print();
 }

@@ -53,10 +53,6 @@ struct ArmResult {
   uint64_t disk_read_bytes = 0;
   uint64_t disk_write_bytes = 0;
   CgroupCacheStats cache_stats;
-  // Eviction-arena growth observed during a short probe run issued after
-  // the main workload (the cache is at capacity by then): 0 means
-  // steady-state reclaim allocated nothing.
-  uint64_t steady_state_evict_alloc_bytes = 0;
   uint64_t total_ops = 0;
 };
 
@@ -66,26 +62,26 @@ ArmResult RunYcsbArm(std::string_view policy,
                      workloads::YcsbWorkload workload,
                      const YcsbBenchConfig& config = {});
 
-// Prints the per-policy hot-path counters (map lookups vs folio-local
-// storage hits, eviction-arena traffic) as a harness::Table.
-void PrintExtCounters(
-    const std::string& title,
-    const std::vector<std::pair<std::string, ArmResult>>& arms);
+// Prints one row per arm with the named CgroupCacheStats counters as
+// columns (names and units from src/cgroup/memcg_stat.h), each formatted by
+// its unit. Exits on a name the table does not have.
+void PrintCounters(const std::string& title,
+                   const std::vector<std::pair<std::string, ArmResult>>& arms,
+                   const std::vector<std::string_view>& names);
 
-// Prints the per-arm reclaim counters (wakeups, background vs direct
-// batches and reclaim-ns, emergency entries, watchdog trips, PSI stall
-// time) as a harness::Table.
-void PrintReclaimCounters(
-    const std::string& title,
-    const std::vector<std::pair<std::string, ArmResult>>& arms);
-
-// Prints the per-arm writeback counters: the LIVE dirty-page gauge at
-// snapshot time, flusher wakeups/ticks/extents, hook-deferred pages,
-// writer throttling (entries + stall ns), flusher-lane writeback CPU, and
-// fsync entries — the balance_dirty_pages / bdi-flusher split.
-void PrintWritebackCounters(
-    const std::string& title,
-    const std::vector<std::pair<std::string, ArmResult>>& arms);
+// Column sets several benches print.
+inline const std::vector<std::string_view> kHotPathCounterColumns = {
+    "ext_map_lookups",       "ext_local_storage_hits",
+    "ext_evict_alloc_bytes", "ext_evict_arena_reuses",
+    "ext_lockless_lookups",  "ext_lockless_retries",
+    "ext_ir_jit_compiles",   "ext_ir_jit_ns",
+    "ext_ir_interp_fallbacks"};
+inline const std::vector<std::string_view> kReclaimCounterColumns = {
+    "reclaim_wakeups",            "reclaim_background_batches",
+    "reclaim_background_evicted", "ext_background_reclaim_ns",
+    "reclaim_direct_entries",     "ext_direct_reclaim_ns",
+    "reclaim_emergency_entries",  "reclaim_watchdog_trips",
+    "psi_some_ns",                "psi_full_ns"};
 
 // --- bench-smoke baseline plumbing (tools/check.sh --bench-smoke) ---
 

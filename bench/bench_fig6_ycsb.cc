@@ -82,7 +82,8 @@ void RunReclaimAblation() {
     }
   }
   table.Print();
-  PrintReclaimCounters("Reclaim counters (ablation arms)", arms);
+  PrintCounters("Reclaim counters (ablation arms)", arms,
+                kReclaimCounterColumns);
 }
 
 }  // namespace

@@ -228,8 +228,8 @@ int Main(int argc, char** argv) {
     counter_rows.emplace_back(p.arm + "_" + std::to_string(p.threads) + "t",
                               arm);
   }
-  PrintExtCounters("Hit-path counters (lockless lookups / retries)",
-                   counter_rows);
+  PrintCounters("Hit-path counters (lockless lookups / retries)",
+                counter_rows, kHotPathCounterColumns);
 
   std::vector<BenchPoint> bench_points;
   for (const Point& p : points) {

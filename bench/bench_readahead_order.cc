@@ -330,21 +330,12 @@ int Main(int argc, char** argv) {
     arm.cache_stats = p.stats;
     counter_rows.emplace_back(p.name, arm);
   }
-  PrintExtCounters("Hit-path counters (lockless lookups / retries)",
-                   counter_rows);
+  PrintCounters("Hit-path counters (lockless lookups / retries)",
+                counter_rows, kHotPathCounterColumns);
 
-  harness::Table order_table(
-      "Readahead / multi-order counters",
-      {"point", "order folios", "order pages", "fallbacks", "splits",
-       "ra clamped"});
-  for (const Point& p : points) {
-    order_table.AddRow({p.name, std::to_string(p.stats.ext_order_folios),
-                        std::to_string(p.stats.ext_order_pages),
-                        std::to_string(p.stats.ext_order_fallbacks),
-                        std::to_string(p.stats.ext_order_splits),
-                        std::to_string(p.stats.ext_readahead_clamped)});
-  }
-  order_table.Print();
+  PrintCounters("Readahead / multi-order counters", counter_rows,
+                {"ext_order_folios", "ext_order_pages", "ext_order_fallbacks",
+                 "ext_order_splits", "ext_readahead_clamped"});
 
   std::vector<BenchPoint> bench_points;
   for (const Point& p : points) {

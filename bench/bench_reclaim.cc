@@ -250,7 +250,8 @@ int Main(int argc, char** argv) {
   bg_result.cache_stats = bg_arm.lat_stats;
   counter_rows.emplace_back("inline", inline_result);
   counter_rows.emplace_back("background", bg_result);
-  PrintReclaimCounters("Reclaim counters (latency tenant)", counter_rows);
+  PrintCounters("Reclaim counters (latency tenant)", counter_rows,
+                kReclaimCounterColumns);
 
   const std::vector<BenchPoint> bench_points = {
       {"lat_miss_p99_inline", inline_arm.p99_us * 1000.0},

@@ -425,7 +425,8 @@ int RunTable4(const Options& opts) {
   }
   overhead_table.Print();
   policy_table.Print();
-  PrintExtCounters("Policy hot-path counters (measured phase)", counter_rows);
+  PrintCounters("Policy hot-path counters (measured phase)", counter_rows,
+                kHotPathCounterColumns);
 
   if (opts.out != nullptr) {
     if (!WriteBenchJson(opts.out, "table4_noop_overhead", points)) {

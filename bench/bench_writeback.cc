@@ -264,7 +264,7 @@ ArmPoint RunWriteHeavy(bool background, int lanes, uint64_t ops_per_lane) {
   point.write_ns_per_op =
       static_cast<double>(makespan) /
       static_cast<double>(static_cast<uint64_t>(lanes) * ops_per_lane);
-  // Snapshot before any final sync: `dirty gauge` in the counter table is
+  // Snapshot before any final sync: `dirty_pages` in the counter table is
   // the live mid-window dirty set (a whole commit window inline, bounded
   // by the background ratio when the flusher is on).
   point.stats = rig->pc->StatsFor(rig->domains[0].cg);
@@ -343,8 +343,12 @@ int Main(int argc, char** argv) {
   add_counters("storm async x8", storm_async_8);
   add_counters("write inline x8", write_inline_8);
   add_counters("write async x8", write_async_8);
-  PrintWritebackCounters("Writeback counters (8-lane arms, writer 0's domain)",
-                         counter_rows);
+  PrintCounters("Writeback counters (8-lane arms, writer 0's domain)",
+                counter_rows,
+                {"dirty_pages", "writeback_wakeups", "writeback_flush_ticks",
+                 "writeback_extents", "writeback_deferred_pages",
+                 "writeback_throttle_entries", "ext_dirty_throttle_ns",
+                 "ext_writeback_ns", "writeback_sync_entries"});
 
   const std::vector<BenchPoint> bench_points = {
       {"fsync_p99_inline_1", storm_inline_1.fsync_p99_us * 1000.0},

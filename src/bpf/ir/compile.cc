@@ -146,11 +146,11 @@ Expected<cache_ext::Ops> CompileToOps(const IrPolicy& policy,
     };
   }
   ops.collect_counters = [exec](PolicyRuntimeCounters* counters) {
-    counters->map_lookups += exec.interp->MapLookups();
+    counters->ext_map_lookups += exec.interp->MapLookups();
     if (exec.jit != nullptr) {
-      counters->ir_jit_compiles += exec.jit->compiles();
-      counters->ir_jit_ns += exec.jit->compile_ns();
-      counters->ir_interp_fallbacks += exec.jit->interp_fallbacks();
+      counters->ext_ir_jit_compiles += exec.jit->compiles();
+      counters->ext_ir_jit_ns += exec.jit->compile_ns();
+      counters->ext_ir_interp_fallbacks += exec.jit->interp_fallbacks();
     }
   };
   return ops;

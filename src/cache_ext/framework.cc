@@ -99,11 +99,6 @@ void CacheExtPolicy::FolioRemoved(Folio* folio) {
 }
 
 void CacheExtPolicy::EvictFolios(EvictionCtx* ctx, MemCgroup* memcg) {
-  if (ctx->source == ReclaimSource::kBackground) {
-    background_evict_dispatches_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    direct_evict_dispatches_.fetch_add(1, std::memory_order_relaxed);
-  }
   if (Degraded(PolicyHook::kEvict)) {
     // Propose nothing: the page cache's under-proposal fallback (§4.4)
     // evicts via the default policy for the remainder of the batch.
@@ -214,8 +209,8 @@ PolicyRuntimeCounters CacheExtPolicy::RuntimeCounters() const {
     ops_.collect_counters(&counters);
   }
   const EvictionArenaStats arena = api_.ArenaStats();
-  counters.evict_alloc_bytes = arena.alloc_bytes;
-  counters.evict_arena_reuses = arena.reuses;
+  counters.ext_evict_alloc_bytes = arena.alloc_bytes;
+  counters.ext_evict_arena_reuses = arena.reuses;
   return counters;
 }
 

@@ -69,16 +69,6 @@ class CacheExtPolicy : public ReclaimPolicy {
   uint64_t aborted_programs() const {
     return aborted_programs_.load(std::memory_order_relaxed);
   }
-  // Evict-hook dispatches by requester: the cgroup's background reclaimer
-  // lane (src/reclaim, the asynchronous entry) vs allocating tasks in
-  // direct reclaim. Visibility into how much of the policy's eviction work
-  // was moved off the fault path.
-  uint64_t background_evict_dispatches() const {
-    return background_evict_dispatches_.load(std::memory_order_relaxed);
-  }
-  uint64_t direct_evict_dispatches() const {
-    return direct_evict_dispatches_.load(std::memory_order_relaxed);
-  }
 
  private:
   // Run one program under a RunContext, feeding the hook's breaker with the
@@ -97,8 +87,6 @@ class CacheExtPolicy : public ReclaimPolicy {
   uint64_t per_event_cost_ns_;
   HookCircuitBreaker breaker_;
   std::atomic<uint64_t> aborted_programs_{0};
-  std::atomic<uint64_t> background_evict_dispatches_{0};
-  std::atomic<uint64_t> direct_evict_dispatches_{0};
 };
 
 }  // namespace cache_ext

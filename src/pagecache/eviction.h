@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <string_view>
 
+#include "src/cgroup/memcg_stat.h"
 #include "src/mm/folio.h"
 
 namespace cache_ext {
@@ -74,31 +75,10 @@ struct PolicyHookHealth {
   bool escalate_detach = false;
 };
 
-// Hot-path observability counters a policy reports through
-// ReclaimPolicy::RuntimeCounters(), surfaced as the ext_* fields of
-// CgroupCacheStats. `map_lookups` is per-folio metadata resolutions that
-// paid a hash probe (explicit hash maps, or the local-storage fallback
-// path); `local_storage_hits` is resolutions served by a folio-embedded
-// storage slot (one indexed load, see src/bpf/folio_local_storage.h);
-// `evict_alloc_bytes` is cumulative heap bytes the eviction scoring path
-// allocated (zero growth in steady state once the arena has warmed up).
-struct PolicyRuntimeCounters {
-  uint64_t map_lookups = 0;
-  uint64_t local_storage_hits = 0;
-  uint64_t evict_alloc_bytes = 0;
-  uint64_t evict_arena_reuses = 0;
-  // IR-policy backend counters (src/bpf/jit): hooks lowered to native
-  // closures, cumulative ns spent lowering them, and hook dispatches that
-  // fell back to the interpreter (lowering failed or was faulted out).
-  uint64_t ir_jit_compiles = 0;
-  uint64_t ir_jit_ns = 0;
-  uint64_t ir_interp_fallbacks = 0;
-};
-
 // Who is asking for eviction candidates: an allocating task doing direct
 // reclaim on its own clock, or the cgroup's background reclaimer lane (the
-// kswapd analogue, src/reclaim). Policies may not care, but the cache_ext
-// adapter counts dispatches per source so the async entry path is visible.
+// kswapd analogue, src/reclaim). Policies may not care; the page cache
+// counts the work per source (reclaim_direct_* / reclaim_background_*).
 enum class ReclaimSource : uint8_t {
   kDirect = 0,
   kBackground = 1,

@@ -185,31 +185,14 @@ Status PageCache::DetachExtPolicy(MemCgroup* cg) {
   if (st->ext == nullptr) {
     return FailedPrecondition("no ext policy attached");
   }
-  // Fold the departing attachment's breaker trips into the cgroup's
-  // cumulative counters so post-mortem stats survive the detach.
+  // Fold the departing attachment's breaker trips and policy counters into
+  // the cgroup's cumulative ones so post-mortem stats survive the detach.
   const PolicyHookHealth health = st->ext->HookHealth();
   for (uint32_t i = 0; i < kNumPolicyHooks; ++i) {
-    st->stats.ext_hook_trip_counts[i].fetch_add(health.trips[i],
-                                                std::memory_order_relaxed);
-  }
-  // Same for the hot-path counters (map probes, local-storage hits,
-  // eviction-arena bytes): fold the attachment's totals so StatsFor
-  // keeps reporting them after the policy is gone.
-  const PolicyRuntimeCounters counters = st->ext->RuntimeCounters();
-  st->stats.ext_map_lookups.fetch_add(counters.map_lookups,
-                                      std::memory_order_relaxed);
-  st->stats.ext_local_storage_hits.fetch_add(counters.local_storage_hits,
-                                             std::memory_order_relaxed);
-  st->stats.ext_evict_alloc_bytes.fetch_add(counters.evict_alloc_bytes,
-                                            std::memory_order_relaxed);
-  st->stats.ext_evict_arena_reuses.fetch_add(counters.evict_arena_reuses,
-                                             std::memory_order_relaxed);
-  st->stats.ext_ir_jit_compiles.fetch_add(counters.ir_jit_compiles,
+    st->ext_hook_trip_counts[i].fetch_add(health.trips[i],
                                           std::memory_order_relaxed);
-  st->stats.ext_ir_jit_ns.fetch_add(counters.ir_jit_ns,
-                                    std::memory_order_relaxed);
-  st->stats.ext_ir_interp_fallbacks.fetch_add(counters.ir_interp_fallbacks,
-                                              std::memory_order_relaxed);
+  }
+  st->detached_policy_stats.Add(st->ext->RuntimeCounters());
   st->ext_active_hint.store(false, std::memory_order_release);
   st->ext.reset();
   return OkStatus();
@@ -237,10 +220,10 @@ void PageCache::SetQuarantineInfo(MemCgroup* cg, bool quarantined, bool banned,
   if (st == nullptr) {
     return;
   }
-  st->stats.ext_quarantined.store(quarantined, std::memory_order_relaxed);
-  st->stats.ext_banned.store(banned, std::memory_order_relaxed);
-  st->stats.ext_reattach_attempts.store(reattach_attempts,
-                                        std::memory_order_relaxed);
+  st->ext_quarantined.store(quarantined, std::memory_order_relaxed);
+  st->ext_banned.store(banned, std::memory_order_relaxed);
+  st->ext_reattach_attempts.store(reattach_attempts,
+                                  std::memory_order_relaxed);
 }
 
 bool PageCache::ExtActive(CgroupState& st) {
@@ -1141,7 +1124,6 @@ void PageCache::FlushTick(CgroupState& st, DispatchBatch* batch,
   // same-file runs so one device write covers a whole extent (the block
   // layer's request merging). All CPU time lands on the flusher lane.
   writeback::SortFlushItems(items);
-  uint64_t pages = 0;
   uint64_t extents = 0;
   size_t reverted_from = items.size();
   size_t i = 0;
@@ -1169,7 +1151,6 @@ void PageCache::FlushTick(CgroupState& st, DispatchBatch* batch,
       items[k].mapping->wb_seq_done.fetch_add(1, std::memory_order_release);
       items[k].folio->Unpin();
     }
-    pages += run_pages;
     ++extents;
     i = j + 1;
   }
@@ -1183,8 +1164,8 @@ void PageCache::FlushTick(CgroupState& st, DispatchBatch* batch,
     items[k].mapping->wb_seq_done.fetch_add(1, std::memory_order_release);
     items[k].folio->Unpin();
   }
-  if (pages > 0) {
-    fc.NoteFlush(pages, extents);
+  if (extents > 0) {
+    fc.NoteFlush(extents);
   }
   fc.NoteWritebackNs(wlane.now_ns() - start_ns);
   if (dl.TargetReached(fc.nr_dirty())) {
@@ -1930,100 +1911,32 @@ CgroupCacheStats PageCache::SnapshotStats(CgroupState& st) {
   // Latch a pending breaker escalation even if no cache event has run since
   // the trip — the policy manager polls these stats to drive its revert.
   (void)ExtActive(st);
-  const auto& a = st.stats;
   CgroupCacheStats stats;
-  stats.fallback_evictions = a.fallback_evictions.load(std::memory_order_relaxed);
-  stats.ext_violations = a.ext_violations.load(std::memory_order_relaxed);
-  stats.direct_reads = a.direct_reads.load(std::memory_order_relaxed);
-  stats.direct_writes = a.direct_writes.load(std::memory_order_relaxed);
-  stats.readahead_pages = a.readahead_pages.load(std::memory_order_relaxed);
-  stats.writeback_pages = a.writeback_pages.load(std::memory_order_relaxed);
-  stats.invalidations = a.invalidations.load(std::memory_order_relaxed);
-  stats.rejected_at_load = a.rejected_at_load.load(std::memory_order_relaxed);
+  st.stats.LoadInto(stats);
+  st.detached_policy_stats.LoadInto(stats);
+  st.reclaim->counters().LoadInto(stats);
+  st.flush->counters().LoadInto(stats);
   stats.ext_detached_by_watchdog =
       st.watchdog_detached.load(std::memory_order_relaxed);
   stats.oom_killed = st.oom_killed.load(std::memory_order_relaxed);
   for (uint32_t i = 0; i < kNumPolicyHooks; ++i) {
     stats.ext_hook_trip_counts[i] =
-        a.ext_hook_trip_counts[i].load(std::memory_order_relaxed);
+        st.ext_hook_trip_counts[i].load(std::memory_order_relaxed);
   }
-  stats.ext_quarantined = a.ext_quarantined.load(std::memory_order_relaxed);
-  stats.ext_banned = a.ext_banned.load(std::memory_order_relaxed);
+  stats.ext_quarantined = st.ext_quarantined.load(std::memory_order_relaxed);
+  stats.ext_banned = st.ext_banned.load(std::memory_order_relaxed);
   stats.ext_reattach_attempts =
-      a.ext_reattach_attempts.load(std::memory_order_relaxed);
-  stats.ext_map_lookups = a.ext_map_lookups.load(std::memory_order_relaxed);
-  stats.ext_local_storage_hits =
-      a.ext_local_storage_hits.load(std::memory_order_relaxed);
-  stats.ext_evict_alloc_bytes =
-      a.ext_evict_alloc_bytes.load(std::memory_order_relaxed);
-  stats.ext_evict_arena_reuses =
-      a.ext_evict_arena_reuses.load(std::memory_order_relaxed);
-  stats.ext_ir_jit_compiles =
-      a.ext_ir_jit_compiles.load(std::memory_order_relaxed);
-  stats.ext_ir_jit_ns = a.ext_ir_jit_ns.load(std::memory_order_relaxed);
-  stats.ext_ir_interp_fallbacks =
-      a.ext_ir_interp_fallbacks.load(std::memory_order_relaxed);
-  stats.ext_lockless_lookups =
-      a.ext_lockless_lookups.load(std::memory_order_relaxed);
-  stats.ext_lockless_retries =
-      a.ext_lockless_retries.load(std::memory_order_relaxed);
-  stats.ext_readahead_clamped =
-      a.ext_readahead_clamped.load(std::memory_order_relaxed);
-  stats.ext_order_folios = a.ext_order_folios.load(std::memory_order_relaxed);
-  stats.ext_order_pages = a.ext_order_pages.load(std::memory_order_relaxed);
-  stats.ext_order_fallbacks =
-      a.ext_order_fallbacks.load(std::memory_order_relaxed);
-  stats.ext_order_splits = a.ext_order_splits.load(std::memory_order_relaxed);
-  const reclaim::ReclaimCounterSnapshot r = st.reclaim->Snapshot();
-  stats.reclaim_wakeups = r.wakeups;
-  stats.reclaim_background_batches = r.background_batches;
-  stats.reclaim_background_evicted = r.background_evicted;
-  stats.ext_background_reclaim_ns = r.background_reclaim_ns;
-  stats.reclaim_direct_entries = r.direct_entries;
-  stats.reclaim_direct_evicted = r.direct_evicted;
-  stats.ext_direct_reclaim_ns = r.direct_reclaim_ns;
-  stats.reclaim_emergency_entries = r.emergency_entries;
-  stats.reclaim_watchdog_trips = r.watchdog_trips;
-  stats.reclaim_stalled_ticks = r.stalled_ticks;
-  stats.reclaim_max_overshoot_pages = r.max_overshoot_pages;
-  stats.ext_reclaim_failures = r.ext_reclaim_failures;
-  stats.psi_some_ns = r.psi_some_ns;
-  stats.psi_full_ns = r.psi_full_ns;
-  stats.reclaim_health = r.health;
-  // Writeback counters live on the flush control block (they survive policy
-  // detach naturally — nothing to fold). dirty_pages is the live gauge;
-  // pages_written is not surfaced separately because every submit site
-  // already bumps the cumulative writeback_pages stat above.
-  const writeback::WritebackCounterSnapshot w = st.flush->Snapshot();
-  stats.dirty_pages = w.dirty_pages;
-  stats.writeback_wakeups = w.wakeups;
-  stats.writeback_flush_ticks = w.flush_ticks;
-  stats.writeback_extents = w.extents_written;
-  stats.writeback_deferred_pages = w.deferred_pages;
-  stats.writeback_throttle_entries = w.throttle_entries;
-  stats.ext_dirty_throttle_ns = w.dirty_throttle_ns;
-  stats.ext_writeback_ns = w.writeback_ns;
-  stats.writeback_sync_entries = w.sync_entries;
-  stats.writeback_stalled_ticks = w.stalled_ticks;
-  stats.writeback_lost_wakeups = w.lost_wakeups;
-  stats.writeback_partial_flushes = w.partial_flushes;
+      st.ext_reattach_attempts.load(std::memory_order_relaxed);
+  stats.reclaim_health = st.reclaim->health();
   if (st.ext != nullptr) {
-    // Overlay the live attachment's breaker state: current degraded mask,
-    // plus its trips on top of the cumulative per-cgroup counters.
+    // Overlay the live attachment: its current degraded mask, and its trips
+    // and policy counters on top of the folded history.
     const PolicyHookHealth health = st.ext->HookHealth();
     stats.ext_degraded_hook_mask = health.degraded_mask;
     for (uint32_t i = 0; i < kNumPolicyHooks; ++i) {
       stats.ext_hook_trip_counts[i] += health.trips[i];
     }
-    // ... and its hot-path counters on top of the folded history.
-    const PolicyRuntimeCounters counters = st.ext->RuntimeCounters();
-    stats.ext_map_lookups += counters.map_lookups;
-    stats.ext_local_storage_hits += counters.local_storage_hits;
-    stats.ext_evict_alloc_bytes += counters.evict_alloc_bytes;
-    stats.ext_evict_arena_reuses += counters.evict_arena_reuses;
-    stats.ext_ir_jit_compiles += counters.ir_jit_compiles;
-    stats.ext_ir_jit_ns += counters.ir_jit_ns;
-    stats.ext_ir_interp_fallbacks += counters.ir_interp_fallbacks;
+    st.ext->RuntimeCounters().AddTo(stats);
   }
   return stats;
 }

@@ -56,6 +56,7 @@
 #include <vector>
 
 #include "src/cgroup/memcg.h"
+#include "src/cgroup/memcg_stat.h"
 #include "src/mm/address_space.h"
 #include "src/mm/folio.h"
 #include "src/pagecache/eviction.h"
@@ -130,19 +131,12 @@ struct PageCacheOptions {
   bool lockless_reads = true;
 };
 
-// Per-cgroup snapshot of counters that live inside the page cache (the
-// cgroup's own counters — hits, misses, evictions... — live on MemCgroup).
+// Per-cgroup snapshot of the page cache's counters (the cgroup's own
+// counters — hits, misses, evictions... — live on MemCgroup). The counter
+// fields come from the table in src/cgroup/memcg_stat.h; the state after
+// them is not a counter.
 struct CgroupCacheStats {
-  uint64_t fallback_evictions = 0;  // evicted via default-policy fallback
-  uint64_t ext_violations = 0;      // invalid candidates from the ext policy
-  uint64_t direct_reads = 0;        // pages served uncached (admission deny)
-  uint64_t direct_writes = 0;
-  uint64_t readahead_pages = 0;
-  uint64_t writeback_pages = 0;
-  uint64_t invalidations = 0;  // removals circumventing eviction
-  // Policies rejected by the load-time verifier before they ever attached
-  // (the static half of §4.4; ext_violations counts the runtime half).
-  uint64_t rejected_at_load = 0;
+  CACHE_EXT_MEMCG_STATS(CACHE_EXT_STAT_FIELD)
   bool ext_detached_by_watchdog = false;
   bool oom_killed = false;
   // Per-hook circuit-breaker state (§4.4 hardening). The mask covers the
@@ -156,87 +150,7 @@ struct CgroupCacheStats {
   bool ext_quarantined = false;
   bool ext_banned = false;
   uint32_t ext_reattach_attempts = 0;
-  // Hot-path counters from the attached cache_ext policy (cumulative
-  // across attachments of this cgroup, live attachment overlaid):
-  // per-folio metadata resolutions that paid a hash probe vs those
-  // served by a folio-embedded storage slot, and heap bytes the
-  // eviction scoring path allocated (flat in steady state — the arena).
-  // See PolicyRuntimeCounters in src/pagecache/eviction.h.
-  uint64_t ext_map_lookups = 0;
-  uint64_t ext_local_storage_hits = 0;
-  uint64_t ext_evict_alloc_bytes = 0;
-  uint64_t ext_evict_arena_reuses = 0;
-  // IR compilation backend (src/bpf/jit): hooks lowered to native
-  // closures, cumulative ns spent lowering them, and dispatches that fell
-  // back to the reference interpreter (JIT declined the shape or
-  // jit.compile_fail was injected). fallbacks > 0 with compiles == 0 is
-  // the "interpreter kept the policy attached" signature.
-  uint64_t ext_ir_jit_compiles = 0;
-  uint64_t ext_ir_jit_ns = 0;
-  uint64_t ext_ir_interp_fallbacks = 0;
-  // Lockless read path (EBR): lookups attempted without the stripe by this
-  // cgroup's readers, and how many of those lost a race (TryPin on a
-  // frozen folio / failed revalidation) and retried into the locked slow
-  // path. The retry rate under truncate/eviction churn is the health
-  // signal for the lock-free hit path.
-  uint64_t ext_lockless_lookups = 0;
-  uint64_t ext_lockless_retries = 0;
-  // Readahead + multi-order admission (the readahead/admit_order hooks).
-  // ext_readahead_clamped counts policy-returned windows cut down to
-  // max_readahead_pages; the ext_order_* trio tracks multi-order folios:
-  // admitted (with their aggregate page count), policy requests that fell
-  // back to order 0 (misalignment, span conflict, memcg pressure), and
-  // folios split back to order 0 by a partial invalidate.
-  uint64_t ext_readahead_clamped = 0;
-  uint64_t ext_order_folios = 0;
-  uint64_t ext_order_pages = 0;
-  uint64_t ext_order_fallbacks = 0;
-  uint64_t ext_order_splits = 0;
-  // Background reclaim (src/reclaim). The ns split is the point: eviction
-  // time that used to be folded into miss latency is now attributed either
-  // to allocating tasks (`ext_direct_reclaim_ns`, PSI `some`) or to the
-  // cgroup's reclaimer lane (`ext_background_reclaim_ns`, invisible to
-  // allocation latency). `psi_full_ns` is the zero-progress subset of the
-  // direct stall. Emergency entries, watchdog trips, stalled ticks and the
-  // max overshoot quantify the degradation path (stalled/dead lane ->
-  // bounded inline reclaim); `ext_reclaim_failures` counts rounds where the
-  // ext policy proposed nothing usable while the base fallback evicted
-  // (the circuit-breaker feed).
-  uint64_t reclaim_wakeups = 0;
-  uint64_t reclaim_background_batches = 0;
-  uint64_t reclaim_background_evicted = 0;
-  uint64_t ext_background_reclaim_ns = 0;
-  uint64_t reclaim_direct_entries = 0;
-  uint64_t reclaim_direct_evicted = 0;
-  uint64_t ext_direct_reclaim_ns = 0;
-  uint64_t reclaim_emergency_entries = 0;
-  uint64_t reclaim_watchdog_trips = 0;
-  uint64_t reclaim_stalled_ticks = 0;
-  uint64_t reclaim_max_overshoot_pages = 0;
-  uint64_t ext_reclaim_failures = 0;
-  uint64_t psi_some_ns = 0;
-  uint64_t psi_full_ns = 0;
   reclaim::LaneHealth reclaim_health = reclaim::LaneHealth::kIdle;
-  // Background writeback (src/writeback). `dirty_pages` is the LIVE gauge
-  // of dirty pages charged to the cgroup (writeback_pages above is the
-  // cumulative flushed count). The ns split mirrors reclaim's: writer wall
-  // time stalled in the balance_dirty_pages analogue (`ext_dirty_throttle_ns`,
-  // the PSI-visible cost) vs flusher-lane time spent writing
-  // (`ext_writeback_ns`, invisible to writer latency when background
-  // writeback is on). Stalled ticks / lost wakeups / partial flushes count
-  // chaos-injected degradation the throttle must contain.
-  uint64_t dirty_pages = 0;
-  uint64_t writeback_wakeups = 0;
-  uint64_t writeback_flush_ticks = 0;
-  uint64_t writeback_extents = 0;
-  uint64_t writeback_deferred_pages = 0;
-  uint64_t writeback_throttle_entries = 0;
-  uint64_t ext_dirty_throttle_ns = 0;
-  uint64_t ext_writeback_ns = 0;
-  uint64_t writeback_sync_entries = 0;
-  uint64_t writeback_stalled_ticks = 0;
-  uint64_t writeback_lost_wakeups = 0;
-  uint64_t writeback_partial_flushes = 0;
 };
 
 class PageCache {
@@ -307,36 +221,14 @@ class PageCache {
   const PageCacheOptions& options() const { return options_; }
 
  private:
-  // Internal mirror of CgroupCacheStats with relaxed atomics: counters are
-  // bumped from whichever lock (cgroup or stripe) the path holds; StatsFor
-  // takes the cgroup lock and loads a coherent snapshot.
+  // The page cache's counters (and the folded policy counters) as relaxed
+  // atomics: bumped from whichever lock (cgroup or stripe) the path holds;
+  // StatsFor takes the cgroup lock and loads a coherent snapshot.
   struct AtomicCgroupStats {
-    std::atomic<uint64_t> fallback_evictions{0};
-    std::atomic<uint64_t> ext_violations{0};
-    std::atomic<uint64_t> direct_reads{0};
-    std::atomic<uint64_t> direct_writes{0};
-    std::atomic<uint64_t> readahead_pages{0};
-    std::atomic<uint64_t> writeback_pages{0};
-    std::atomic<uint64_t> invalidations{0};
-    std::atomic<uint64_t> rejected_at_load{0};
-    std::array<std::atomic<uint64_t>, kNumPolicyHooks> ext_hook_trip_counts{};
-    std::atomic<uint64_t> ext_map_lookups{0};
-    std::atomic<uint64_t> ext_local_storage_hits{0};
-    std::atomic<uint64_t> ext_evict_alloc_bytes{0};
-    std::atomic<uint64_t> ext_evict_arena_reuses{0};
-    std::atomic<uint64_t> ext_ir_jit_compiles{0};
-    std::atomic<uint64_t> ext_ir_jit_ns{0};
-    std::atomic<uint64_t> ext_ir_interp_fallbacks{0};
-    std::atomic<uint64_t> ext_lockless_lookups{0};
-    std::atomic<uint64_t> ext_lockless_retries{0};
-    std::atomic<uint64_t> ext_readahead_clamped{0};
-    std::atomic<uint64_t> ext_order_folios{0};
-    std::atomic<uint64_t> ext_order_pages{0};
-    std::atomic<uint64_t> ext_order_fallbacks{0};
-    std::atomic<uint64_t> ext_order_splits{0};
-    std::atomic<bool> ext_quarantined{false};
-    std::atomic<bool> ext_banned{false};
-    std::atomic<uint32_t> ext_reattach_attempts{0};
+    CACHE_EXT_STAT_ATOMICS(CACHE_EXT_PAGE_CACHE_STATS)
+  };
+  struct AtomicPolicyStats {
+    CACHE_EXT_STAT_ATOMICS(CACHE_EXT_POLICY_STATS)
   };
 
   struct CgroupState {
@@ -348,6 +240,13 @@ class PageCache {
     std::unique_ptr<ReclaimPolicy> base CACHE_EXT_GUARDED_BY(mu);
     std::unique_ptr<ReclaimPolicy> ext CACHE_EXT_GUARDED_BY(mu);
     AtomicCgroupStats stats;
+    // Policy counters of departed attachments, folded in at detach;
+    // StatsFor overlays the live attachment's on top.
+    AtomicPolicyStats detached_policy_stats;
+    std::array<std::atomic<uint64_t>, kNumPolicyHooks> ext_hook_trip_counts{};
+    std::atomic<bool> ext_quarantined{false};
+    std::atomic<bool> ext_banned{false};
+    std::atomic<uint32_t> ext_reattach_attempts{0};
     std::atomic<bool> oom_killed{false};
     std::atomic<bool> watchdog_detached{false};
     // Lock-free hints for the hit path's append-time cost accounting: the

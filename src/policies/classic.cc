@@ -180,8 +180,8 @@ Ops MakeLfuOps(const LfuParams& params) {
   };
   ops.collect_counters = [st](PolicyRuntimeCounters* counters) {
     const bpf::FolioLocalStorageStats s = st->freq.Stats();
-    counters->map_lookups += s.fallback_lookups;
-    counters->local_storage_hits += s.slot_hits;
+    counters->ext_map_lookups += s.fallback_lookups;
+    counters->ext_local_storage_hits += s.slot_hits;
   };
   // freq holds one entry per resident folio; capacity-bounded by the map.
   ops.spec.DeclareLists(1)

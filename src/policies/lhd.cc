@@ -227,8 +227,8 @@ LhdBundle MakeLhdPolicy(const LhdParams& params) {
 
   ops.collect_counters = [st](PolicyRuntimeCounters* counters) {
     const bpf::FolioLocalStorageStats s = st->meta.Stats();
-    counters->map_lookups += s.fallback_lookups;
-    counters->local_storage_hits += s.slot_hits;
+    counters->ext_map_lookups += s.fallback_lookups;
+    counters->ext_local_storage_hits += s.slot_hits;
   };
 
   {

@@ -176,8 +176,8 @@ Ops MakeMglruExtOps(const MglruExtParams& params) {
   };
   ops.collect_counters = [st](PolicyRuntimeCounters* counters) {
     const bpf::FolioLocalStorageStats s = st->meta.Stats();
-    counters->map_lookups += s.fallback_lookups;
-    counters->local_storage_hits += s.slot_hits;
+    counters->ext_map_lookups += s.fallback_lookups;
+    counters->ext_local_storage_hits += s.slot_hits;
   };
   {
     using bpf::verifier::Hook;

@@ -140,8 +140,8 @@ Ops MakeS3FifoOps(const S3FifoParams& params) {
   };
   ops.collect_counters = [st](PolicyRuntimeCounters* counters) {
     const bpf::FolioLocalStorageStats s = st->freq.Stats();
-    counters->map_lookups += s.fallback_lookups;
-    counters->local_storage_hits += s.slot_hits;
+    counters->ext_map_lookups += s.fallback_lookups;
+    counters->ext_local_storage_hits += s.slot_hits;
   };
   {
     using bpf::verifier::Hook;

@@ -36,7 +36,7 @@ bool CgroupReclaimControl::ShouldWake(uint64_t charged_pages,
     return false;  // inside the band with the latch released: stay asleep
   }
   if (!active_.exchange(true, std::memory_order_relaxed)) {
-    wakeups_.fetch_add(1, std::memory_order_relaxed);
+    counters_.reclaim_wakeups.fetch_add(1, std::memory_order_relaxed);
   }
   return true;
 }
@@ -74,7 +74,8 @@ TickOutcome CgroupReclaimControl::EnterTick() {
   while (remaining > 0) {
     if (stall_ticks_remaining_.compare_exchange_weak(
             remaining, remaining - 1, std::memory_order_relaxed)) {
-      stalled_ticks_.fetch_add(1, std::memory_order_relaxed);
+      counters_.reclaim_stalled_ticks.fetch_add(1,
+                                                std::memory_order_relaxed);
       return TickOutcome::kStalled;
     }
   }
@@ -93,8 +94,9 @@ void CgroupReclaimControl::NoteBatch(uint64_t evicted) {
   // folio pinned still beats, and the watchdog correctly does not trip —
   // detaching or probing it would not make folios evictable.
   heartbeat_.fetch_add(1, std::memory_order_relaxed);
-  background_batches_.fetch_add(1, std::memory_order_relaxed);
-  background_evicted_.fetch_add(evicted, std::memory_order_relaxed);
+  counters_.reclaim_background_batches.fetch_add(1, std::memory_order_relaxed);
+  counters_.reclaim_background_evicted.fetch_add(evicted,
+                                                std::memory_order_relaxed);
   if (!dead_.load(std::memory_order_relaxed)) {
     health_.store(static_cast<uint8_t>(LaneHealth::kRunning),
                   std::memory_order_relaxed);
@@ -103,10 +105,11 @@ void CgroupReclaimControl::NoteBatch(uint64_t evicted) {
 
 bool CgroupReclaimControl::NoteEmergencyEntry(uint64_t overshoot_pages,
                                               const ReclaimOptions& opts) {
-  emergency_entries_.fetch_add(1, std::memory_order_relaxed);
-  uint64_t prev = max_overshoot_pages_.load(std::memory_order_relaxed);
+  counters_.reclaim_emergency_entries.fetch_add(1, std::memory_order_relaxed);
+  uint64_t prev =
+      counters_.reclaim_max_overshoot_pages.load(std::memory_order_relaxed);
   while (overshoot_pages > prev &&
-         !max_overshoot_pages_.compare_exchange_weak(
+         !counters_.reclaim_max_overshoot_pages.compare_exchange_weak(
              prev, overshoot_pages, std::memory_order_relaxed)) {
   }
 
@@ -133,7 +136,7 @@ bool CgroupReclaimControl::NoteEmergencyEntry(uint64_t overshoot_pages,
       // entries while the cgroup is over its hard limit.
       health_.store(static_cast<uint8_t>(LaneHealth::kStalled),
                     std::memory_order_relaxed);
-      watchdog_trips_.fetch_add(1, std::memory_order_relaxed);
+      counters_.reclaim_watchdog_trips.fetch_add(1, std::memory_order_relaxed);
       probe_backoff_.store(opts.probe_backoff_initial,
                            std::memory_order_relaxed);
       probe_countdown_.store(opts.probe_backoff_initial,
@@ -144,7 +147,7 @@ bool CgroupReclaimControl::NoteEmergencyEntry(uint64_t overshoot_pages,
     // First emergency entry to observe the death: trip once, then back off.
     health_.store(static_cast<uint8_t>(LaneHealth::kDead),
                   std::memory_order_relaxed);
-    watchdog_trips_.fetch_add(1, std::memory_order_relaxed);
+    counters_.reclaim_watchdog_trips.fetch_add(1, std::memory_order_relaxed);
     probe_backoff_.store(opts.probe_backoff_initial, std::memory_order_relaxed);
     probe_countdown_.store(opts.probe_backoff_initial,
                            std::memory_order_relaxed);
@@ -172,15 +175,17 @@ bool CgroupReclaimControl::NoteEmergencyEntry(uint64_t overshoot_pages,
 
 void CgroupReclaimControl::NoteDirect(uint64_t ns, uint64_t zero_progress_ns,
                                       uint64_t evicted) {
-  direct_entries_.fetch_add(1, std::memory_order_relaxed);
-  direct_evicted_.fetch_add(evicted, std::memory_order_relaxed);
-  direct_reclaim_ns_.fetch_add(ns, std::memory_order_relaxed);
+  counters_.reclaim_direct_entries.fetch_add(1, std::memory_order_relaxed);
+  counters_.reclaim_direct_evicted.fetch_add(evicted,
+                                            std::memory_order_relaxed);
+  counters_.ext_direct_reclaim_ns.fetch_add(ns, std::memory_order_relaxed);
   // PSI mapping: `some` is time at least one task stalled on reclaim — in
   // this model, exactly the lane time the allocator spent inside direct
   // reclaim. `full` is the unproductive subset (rounds that evicted
   // nothing): everyone stalled AND nothing moved.
-  psi_some_ns_.fetch_add(ns, std::memory_order_relaxed);
-  psi_full_ns_.fetch_add(zero_progress_ns, std::memory_order_relaxed);
+  counters_.psi_some_ns.fetch_add(ns, std::memory_order_relaxed);
+  counters_.psi_full_ns.fetch_add(zero_progress_ns,
+                                  std::memory_order_relaxed);
 }
 
 bool CgroupReclaimControl::NoteExtRound(bool ext_made_progress,
@@ -195,30 +200,10 @@ bool CgroupReclaimControl::NoteExtRound(bool ext_made_progress,
     // ext policy's fault — detaching it would change nothing. Streak holds.
     return false;
   }
-  ext_reclaim_failures_.fetch_add(1, std::memory_order_relaxed);
+  counters_.ext_reclaim_failures.fetch_add(1, std::memory_order_relaxed);
   const uint32_t streak =
       ext_failure_streak_.fetch_add(1, std::memory_order_relaxed) + 1;
   return limit > 0 && streak == limit;
-}
-
-ReclaimCounterSnapshot CgroupReclaimControl::Snapshot() const {
-  ReclaimCounterSnapshot s;
-  s.wakeups = Load(wakeups_);
-  s.background_batches = Load(background_batches_);
-  s.background_evicted = Load(background_evicted_);
-  s.background_reclaim_ns = Load(background_reclaim_ns_);
-  s.direct_entries = Load(direct_entries_);
-  s.direct_evicted = Load(direct_evicted_);
-  s.direct_reclaim_ns = Load(direct_reclaim_ns_);
-  s.emergency_entries = Load(emergency_entries_);
-  s.watchdog_trips = Load(watchdog_trips_);
-  s.stalled_ticks = Load(stalled_ticks_);
-  s.max_overshoot_pages = Load(max_overshoot_pages_);
-  s.ext_reclaim_failures = Load(ext_reclaim_failures_);
-  s.psi_some_ns = Load(psi_some_ns_);
-  s.psi_full_ns = Load(psi_full_ns_);
-  s.health = health();
-  return s;
 }
 
 ReclaimerPool::ReclaimerPool(const ReclaimOptions& options, TickFn tick)

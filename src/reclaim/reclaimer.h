@@ -45,6 +45,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/cgroup/memcg_stat.h"
 #include "src/reclaim/watermarks.h"
 #include "src/sim/lane.h"
 
@@ -96,25 +97,6 @@ enum class TickOutcome : uint8_t {
   kRun,      // proceed with eviction batches
   kStalled,  // wedged this tick (reclaim.stall): no progress, no heartbeat
   kDead,     // lane is dead: permanent no-op
-};
-
-// Counter snapshot, copied into CgroupCacheStats under the cgroup lock.
-struct ReclaimCounterSnapshot {
-  uint64_t wakeups = 0;
-  uint64_t background_batches = 0;
-  uint64_t background_evicted = 0;
-  uint64_t background_reclaim_ns = 0;
-  uint64_t direct_entries = 0;
-  uint64_t direct_evicted = 0;
-  uint64_t direct_reclaim_ns = 0;
-  uint64_t emergency_entries = 0;
-  uint64_t watchdog_trips = 0;
-  uint64_t stalled_ticks = 0;
-  uint64_t max_overshoot_pages = 0;
-  uint64_t ext_reclaim_failures = 0;
-  uint64_t psi_some_ns = 0;
-  uint64_t psi_full_ns = 0;
-  LaneHealth health = LaneHealth::kIdle;
 };
 
 // Per-cgroup reclaim control block. All fields are relaxed atomics: the
@@ -187,7 +169,8 @@ class CgroupReclaimControl {
   // signal the allocator watchdog reads) and the progress counters.
   void NoteBatch(uint64_t evicted);
   void NoteBackgroundNs(uint64_t ns) {
-    background_reclaim_ns_.fetch_add(ns, std::memory_order_relaxed);
+    counters_.ext_background_reclaim_ns.fetch_add(ns,
+                                                  std::memory_order_relaxed);
   }
   // High-watermark headroom restored: release the hysteresis latch.
   void NoteTargetReached();
@@ -214,16 +197,17 @@ class CgroupReclaimControl {
     return heartbeat_.load(std::memory_order_relaxed);
   }
   bool dead() const { return dead_.load(std::memory_order_relaxed); }
-  ReclaimCounterSnapshot Snapshot() const;
+
+  // The reclaim counters of CgroupCacheStats (src/cgroup/memcg_stat.h).
+  struct Counters {
+    CACHE_EXT_STAT_ATOMICS(CACHE_EXT_RECLAIM_STATS)
+  };
+  const Counters& counters() const { return counters_; }
 
  private:
   static constexpr uint32_t kLaneIdBase = 0x6b000000;  // 'k' for kswapd
   static constexpr uint64_t kLaneSeed = 0x6b737764;    // "kswd"
   static constexpr uint64_t kDefaultStallTicks = 8;
-
-  uint64_t Load(const std::atomic<uint64_t>& v) const {
-    return v.load(std::memory_order_relaxed);
-  }
 
   Lane lane_;
 
@@ -243,21 +227,7 @@ class CgroupReclaimControl {
 
   std::atomic<uint32_t> ext_failure_streak_{0};
 
-  // Counters (ReclaimCounterSnapshot mirrors).
-  std::atomic<uint64_t> wakeups_{0};
-  std::atomic<uint64_t> background_batches_{0};
-  std::atomic<uint64_t> background_evicted_{0};
-  std::atomic<uint64_t> background_reclaim_ns_{0};
-  std::atomic<uint64_t> direct_entries_{0};
-  std::atomic<uint64_t> direct_evicted_{0};
-  std::atomic<uint64_t> direct_reclaim_ns_{0};
-  std::atomic<uint64_t> emergency_entries_{0};
-  std::atomic<uint64_t> watchdog_trips_{0};
-  std::atomic<uint64_t> stalled_ticks_{0};
-  std::atomic<uint64_t> max_overshoot_pages_{0};
-  std::atomic<uint64_t> ext_reclaim_failures_{0};
-  std::atomic<uint64_t> psi_some_ns_{0};
-  std::atomic<uint64_t> psi_full_ns_{0};
+  Counters counters_;
 };
 
 // The real reclaimer threads of the MT harness: N threads share the

@@ -48,7 +48,7 @@ std::vector<FlushExtent> SortAndCoalesce(std::vector<FlushItem> items,
 }
 
 void CgroupFlushControl::NoteDirtied(AddressSpace* mapping, uint64_t nr) {
-  nr_dirty_.fetch_add(nr, std::memory_order_relaxed);
+  counters_.dirty_pages.fetch_add(nr, std::memory_order_relaxed);
   mapping->nr_dirty.fetch_add(nr, std::memory_order_relaxed);
   bool expected = false;
   if (mapping->wb_on_dirty_list.compare_exchange_strong(
@@ -59,12 +59,13 @@ void CgroupFlushControl::NoteDirtied(AddressSpace* mapping, uint64_t nr) {
 }
 
 void CgroupFlushControl::NoteCleaned(AddressSpace* mapping, uint64_t nr) {
-  nr_dirty_.fetch_sub(nr, std::memory_order_relaxed);
+  counters_.dirty_pages.fetch_sub(nr, std::memory_order_relaxed);
   mapping->nr_dirty.fetch_sub(nr, std::memory_order_relaxed);
 }
 
 bool CgroupFlushControl::ShouldWake(const DirtyLimits& dl) {
-  const uint64_t nr_dirty = nr_dirty_.load(std::memory_order_relaxed);
+  const uint64_t nr_dirty =
+      counters_.dirty_pages.load(std::memory_order_relaxed);
   if (active_.load(std::memory_order_relaxed)) {
     if (dl.TargetReached(nr_dirty)) {
       active_.store(false, std::memory_order_relaxed);
@@ -79,11 +80,11 @@ bool CgroupFlushControl::ShouldWake(const DirtyLimits& dl) {
   // the kick is genuinely dropped — the poll backstop or the next dirtying
   // operation must rediscover the pressure.
   if (fault::InjectFault(fault::points::kWritebackLostWakeup)) {
-    lost_wakeups_.fetch_add(1, std::memory_order_relaxed);
+    counters_.writeback_lost_wakeups.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   active_.store(true, std::memory_order_relaxed);
-  wakeups_.fetch_add(1, std::memory_order_relaxed);
+  counters_.writeback_wakeups.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
@@ -95,7 +96,7 @@ FlushTickOutcome CgroupFlushControl::EnterTick(const DirtyLimits& dl) {
   while (remaining > 0) {
     if (stall_ticks_remaining_.compare_exchange_weak(
             remaining, remaining - 1, std::memory_order_relaxed)) {
-      stalled_ticks_.fetch_add(1, std::memory_order_relaxed);
+      counters_.writeback_stalled_ticks.fetch_add(1, std::memory_order_relaxed);
       return FlushTickOutcome::kStalled;
     }
   }
@@ -104,10 +105,11 @@ FlushTickOutcome CgroupFlushControl::EnterTick(const DirtyLimits& dl) {
     const uint64_t ticks =
         magnitude != 0 ? magnitude : kDefaultStallTicks;
     stall_ticks_remaining_.store(ticks - 1, std::memory_order_relaxed);
-    stalled_ticks_.fetch_add(1, std::memory_order_relaxed);
+    counters_.writeback_stalled_ticks.fetch_add(1, std::memory_order_relaxed);
     return FlushTickOutcome::kStalled;
   }
-  const uint64_t nr_dirty = nr_dirty_.load(std::memory_order_relaxed);
+  const uint64_t nr_dirty =
+      counters_.dirty_pages.load(std::memory_order_relaxed);
   if (nr_dirty == 0) {
     active_.store(false, std::memory_order_relaxed);
     return FlushTickOutcome::kIdle;
@@ -123,7 +125,7 @@ FlushTickOutcome CgroupFlushControl::EnterTick(const DirtyLimits& dl) {
 
 bool CgroupFlushControl::PartialFlushInjected() {
   if (fault::InjectFault(fault::points::kWritebackPartialFlush)) {
-    partial_flushes_.fetch_add(1, std::memory_order_relaxed);
+    counters_.writeback_partial_flushes.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
   return false;
@@ -148,24 +150,6 @@ void CgroupFlushControl::RequeueDirtyFile(AddressSpace* mapping) {
     std::lock_guard<std::mutex> lock(files_mu_);
     dirty_files_.push_back(mapping);
   }
-}
-
-WritebackCounterSnapshot CgroupFlushControl::Snapshot() const {
-  WritebackCounterSnapshot s;
-  s.dirty_pages = Load(nr_dirty_);
-  s.wakeups = Load(wakeups_);
-  s.flush_ticks = Load(flush_ticks_);
-  s.pages_written = Load(pages_written_);
-  s.extents_written = Load(extents_written_);
-  s.deferred_pages = Load(deferred_pages_);
-  s.throttle_entries = Load(throttle_entries_);
-  s.dirty_throttle_ns = Load(dirty_throttle_ns_);
-  s.writeback_ns = Load(writeback_ns_);
-  s.sync_entries = Load(sync_entries_);
-  s.stalled_ticks = Load(stalled_ticks_);
-  s.lost_wakeups = Load(lost_wakeups_);
-  s.partial_flushes = Load(partial_flushes_);
-  return s;
 }
 
 }  // namespace cache_ext::writeback

@@ -38,6 +38,7 @@
 #include <mutex>
 #include <vector>
 
+#include "src/cgroup/memcg_stat.h"
 #include "src/sim/lane.h"
 #include "src/writeback/dirty.h"
 
@@ -81,23 +82,6 @@ enum class FlushTickOutcome : uint8_t {
   kRun,      // proceed with harvest + flush
   kStalled,  // wedged this tick (writeback.stall): no progress
   kIdle,     // nothing dirty enough to flush
-};
-
-// Counter snapshot, copied into CgroupCacheStats under the cgroup lock.
-struct WritebackCounterSnapshot {
-  uint64_t dirty_pages = 0;  // live gauge, not cumulative
-  uint64_t wakeups = 0;
-  uint64_t flush_ticks = 0;
-  uint64_t pages_written = 0;
-  uint64_t extents_written = 0;
-  uint64_t deferred_pages = 0;   // should_writeback vetoes
-  uint64_t throttle_entries = 0;
-  uint64_t dirty_throttle_ns = 0;  // writers stalled above the dirty ratio
-  uint64_t writeback_ns = 0;       // lane time spent writing (bg + sync)
-  uint64_t sync_entries = 0;
-  uint64_t stalled_ticks = 0;
-  uint64_t lost_wakeups = 0;
-  uint64_t partial_flushes = 0;
 };
 
 // One dirty folio harvested for flushing, plus its policy sort key. The
@@ -157,7 +141,7 @@ class CgroupFlushControl {
   // dirty list lazily when a harvest finds it clean.
   void NoteCleaned(AddressSpace* mapping, uint64_t nr);
   uint64_t nr_dirty() const {
-    return nr_dirty_.load(std::memory_order_relaxed);
+    return counters_.dirty_pages.load(std::memory_order_relaxed);
   }
 
   // Hysteresis latch: returns true while the flusher should be running.
@@ -170,8 +154,10 @@ class CgroupFlushControl {
 
   // Writer throttling above the dirty ratio (balance_dirty_pages).
   void NoteThrottle(uint64_t stall_ns) {
-    throttle_entries_.fetch_add(1, std::memory_order_relaxed);
-    dirty_throttle_ns_.fetch_add(stall_ns, std::memory_order_relaxed);
+    counters_.writeback_throttle_entries.fetch_add(1,
+                                                   std::memory_order_relaxed);
+    counters_.ext_dirty_throttle_ns.fetch_add(stall_ns,
+                                              std::memory_order_relaxed);
   }
 
   // ---- Flusher side (flush tick) -----------------------------------------
@@ -189,35 +175,36 @@ class CgroupFlushControl {
   std::vector<AddressSpace*> TakeDirtyFiles();
   void RequeueDirtyFile(AddressSpace* mapping);
 
-  void NoteFlush(uint64_t pages, uint64_t extents) {
-    flush_ticks_.fetch_add(1, std::memory_order_relaxed);
-    pages_written_.fetch_add(pages, std::memory_order_relaxed);
-    extents_written_.fetch_add(extents, std::memory_order_relaxed);
+  void NoteFlush(uint64_t extents) {
+    counters_.writeback_flush_ticks.fetch_add(1, std::memory_order_relaxed);
+    counters_.writeback_extents.fetch_add(extents, std::memory_order_relaxed);
   }
   void NoteDeferred(uint64_t pages) {
-    deferred_pages_.fetch_add(pages, std::memory_order_relaxed);
+    counters_.writeback_deferred_pages.fetch_add(pages,
+                                                 std::memory_order_relaxed);
   }
   void NoteWritebackNs(uint64_t ns) {
-    writeback_ns_.fetch_add(ns, std::memory_order_relaxed);
+    counters_.ext_writeback_ns.fetch_add(ns, std::memory_order_relaxed);
   }
   void NoteSyncEntry() {
-    sync_entries_.fetch_add(1, std::memory_order_relaxed);
+    counters_.writeback_sync_entries.fetch_add(1, std::memory_order_relaxed);
   }
 
-  WritebackCounterSnapshot Snapshot() const;
+  // The writeback counters of CgroupCacheStats (src/cgroup/memcg_stat.h),
+  // including the dirty_pages gauge.
+  struct Counters {
+    CACHE_EXT_STAT_ATOMICS(CACHE_EXT_WRITEBACK_STATS)
+  };
+  const Counters& counters() const { return counters_; }
 
  private:
   static constexpr uint32_t kLaneIdBase = 0x77000000;  // 'w' for writeback
   static constexpr uint64_t kLaneSeed = 0x7772626b;    // "wrbk"
   static constexpr uint64_t kDefaultStallTicks = 8;
 
-  uint64_t Load(const std::atomic<uint64_t>& v) const {
-    return v.load(std::memory_order_relaxed);
-  }
-
   Lane lane_;
 
-  std::atomic<uint64_t> nr_dirty_{0};
+  Counters counters_;
   std::atomic<bool> active_{false};
   std::atomic<uint64_t> stall_ticks_remaining_{0};
 
@@ -226,19 +213,6 @@ class CgroupFlushControl {
   // NoteDirtied only appends a file whose on_dirty_list CAS it wins.
   std::mutex files_mu_;
   std::vector<AddressSpace*> dirty_files_;
-
-  std::atomic<uint64_t> wakeups_{0};
-  std::atomic<uint64_t> flush_ticks_{0};
-  std::atomic<uint64_t> pages_written_{0};
-  std::atomic<uint64_t> extents_written_{0};
-  std::atomic<uint64_t> deferred_pages_{0};
-  std::atomic<uint64_t> throttle_entries_{0};
-  std::atomic<uint64_t> dirty_throttle_ns_{0};
-  std::atomic<uint64_t> writeback_ns_{0};
-  std::atomic<uint64_t> sync_entries_{0};
-  std::atomic<uint64_t> stalled_ticks_{0};
-  std::atomic<uint64_t> lost_wakeups_{0};
-  std::atomic<uint64_t> partial_flushes_{0};
 };
 
 }  // namespace cache_ext::writeback

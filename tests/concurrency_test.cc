@@ -679,12 +679,12 @@ void IrHookDispatchStorm(bpf::ir::Backend backend) {
   // and the backend that ran is the backend that was asked for.
   PolicyRuntimeCounters counters;
   ops->collect_counters(&counters);
-  EXPECT_GT(counters.map_lookups, 0u);
+  EXPECT_GT(counters.ext_map_lookups, 0u);
   if (backend == bpf::ir::Backend::kJit) {
-    EXPECT_GT(counters.ir_jit_compiles, 0u);
-    EXPECT_EQ(counters.ir_interp_fallbacks, 0u);
+    EXPECT_GT(counters.ext_ir_jit_compiles, 0u);
+    EXPECT_EQ(counters.ext_ir_interp_fallbacks, 0u);
   } else {
-    EXPECT_EQ(counters.ir_jit_compiles, 0u);
+    EXPECT_EQ(counters.ext_ir_jit_compiles, 0u);
   }
   // The shared list saw every add/del; at the end each folio was deleted
   // from it, so it is empty again.

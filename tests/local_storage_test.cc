@@ -240,8 +240,8 @@ class LocalStorageStackTest : public ::testing::Test {
     };
     ops.collect_counters = [st](PolicyRuntimeCounters* counters) {
       const FolioLocalStorageStats s = st->meta.Stats();
-      counters->map_lookups += s.fallback_lookups;
-      counters->local_storage_hits += s.slot_hits;
+      counters->ext_map_lookups += s.fallback_lookups;
+      counters->ext_local_storage_hits += s.slot_hits;
     };
     return ops;
   }
@@ -345,6 +345,9 @@ TEST_F(LocalStorageStackTest, SteadyStateReclaimAllocatesNothing) {
 }
 
 TEST_F(LocalStorageStackTest, CountersSurviveDetach) {
+  // Every policy counter is folded into the cgroup at detach, a
+  // re-attached policy's live counters add on top of that folded total,
+  // and its own detach folds them in as well.
   auto st = std::make_shared<LsState>(256);
   ASSERT_TRUE(loader_->Attach(cg_, LeakyFifoOps(st)).ok());
   Lane lane = MakeLane();
@@ -352,11 +355,26 @@ TEST_F(LocalStorageStackTest, CountersSurviveDetach) {
   ASSERT_TRUE(as.ok());
   ASSERT_TRUE(disk_.Truncate((*as)->file(), 64 * kPageSize).ok());
   TouchPages(lane, *as, 0, 64);
-  const uint64_t live_hits = pc_->StatsFor(cg_).ext_local_storage_hits;
-  ASSERT_GT(live_hits, 0u);
+  const CgroupCacheStats live = pc_->StatsFor(cg_);
+  ASSERT_GT(live.ext_local_storage_hits, 0u);
   ASSERT_TRUE(loader_->Detach(cg_).ok());
-  // Folded into the cgroup's atomics at detach, not lost with the policy.
-  EXPECT_GE(pc_->StatsFor(cg_).ext_local_storage_hits, live_hits);
+  const CgroupCacheStats folded = pc_->StatsFor(cg_);
+
+  auto reattached =
+      loader_->Attach(cg_, LeakyFifoOps(std::make_shared<LsState>(256)));
+  ASSERT_TRUE(reattached.ok());
+  TouchPages(lane, *as, 0, 64);
+  const PolicyRuntimeCounters again = (*reattached)->RuntimeCounters();
+  ASSERT_GT(again.ext_local_storage_hits, 0u);
+  const CgroupCacheStats total = pc_->StatsFor(cg_);
+  ASSERT_TRUE(loader_->Detach(cg_).ok());
+  const CgroupCacheStats refolded = pc_->StatsFor(cg_);
+#define EXPECT_FOLD_AND_OVERLAY(name, unit, help)            \
+  EXPECT_EQ(folded.name, live.name) << #name;                 \
+  EXPECT_EQ(total.name, folded.name + again.name) << #name;   \
+  EXPECT_EQ(refolded.name, total.name) << #name;
+  CACHE_EXT_POLICY_STATS(EXPECT_FOLD_AND_OVERLAY)
+#undef EXPECT_FOLD_AND_OVERLAY
 }
 
 // --- Verifier: the slot budget ----------------------------------------------

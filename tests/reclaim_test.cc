@@ -213,14 +213,14 @@ TEST(ReclaimControlTest, HysteresisPreventsWakeupThrash) {
   // Cross the low watermark: exactly one wakeup.
   EXPECT_FALSE(control.ShouldWake(850, wm));
   EXPECT_TRUE(control.ShouldWake(901, wm));
-  EXPECT_EQ(control.Snapshot().wakeups, 1u);
+  EXPECT_EQ(control.counters().reclaim_wakeups.load(), 1u);
 
   // Oscillate around the wake threshold mid-run: the latch holds, the
   // reclaimer keeps running, and no new wakeups are counted.
   for (int i = 0; i < 100; ++i) {
     EXPECT_TRUE(control.ShouldWake(i % 2 == 0 ? 899 : 901, wm));
   }
-  EXPECT_EQ(control.Snapshot().wakeups, 1u);
+  EXPECT_EQ(control.counters().reclaim_wakeups.load(), 1u);
 
   // Reaching the high-watermark target releases the latch...
   EXPECT_FALSE(control.ShouldWake(800, wm));
@@ -228,11 +228,11 @@ TEST(ReclaimControlTest, HysteresisPreventsWakeupThrash) {
   for (int i = 0; i < 100; ++i) {
     EXPECT_FALSE(control.ShouldWake(i % 2 == 0 ? 850 : 880, wm));
   }
-  EXPECT_EQ(control.Snapshot().wakeups, 1u);
+  EXPECT_EQ(control.counters().reclaim_wakeups.load(), 1u);
 
   // Only crossing low again wakes a second time.
   EXPECT_TRUE(control.ShouldWake(950, wm));
-  EXPECT_EQ(control.Snapshot().wakeups, 2u);
+  EXPECT_EQ(control.counters().reclaim_wakeups.load(), 2u);
 }
 
 // --- Healthy daemon: allocations never stall -------------------------------

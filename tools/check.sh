@@ -1,7 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 gate: configure, build, and run the full test suite.
 #
-#   tools/check.sh              # build + ctest in ./build
+#   tools/check.sh              # build + ctest in ./build, then build the
+#                               # perfbench package (.bench_build/perfbench,
+#                               # which compiles against CgroupCacheStats
+#                               # and MemCgroup field names) and run
+#                               # perfbench_test
 #   tools/check.sh --sanitize   # additionally build + ctest under ASan+UBSan
 #   tools/check.sh --chaos      # ASan build, chaos-labelled tests (incl.
 #                               # the reclaim stall/death/overshoot suite)
@@ -10,8 +14,8 @@
 #                               # (concurrency_test — incl. the IR hook
 #                               # dispatch storms on both backends — +
 #                               # ebr_test + reclaim_test's reclaimer-thread
-#                               # races) + a bench_mt_scaling run (refreshes
-#                               # bench/baselines/BENCH_mt_scaling.json) + an
+#                               # races) + a bench_mt_scaling run (written
+#                               # to build/BENCH_mt_scaling.json) + an
 #                               # ir_lfu-on-every-lane scaling check
 #   tools/check.sh --bench-smoke  # quick bench_table4_noop_overhead,
 #                               # bench_local_storage, bench_lockless_reads,
@@ -87,10 +91,10 @@ if [[ "$tsan" == 1 ]]; then
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/concurrency_test
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/ebr_test
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/reclaim_test
-  echo "== tsan: MT scaling run (regular build, baseline refresh) =="
+  echo "== tsan: MT scaling run (regular build) =="
   cmake -B build >/dev/null
   cmake --build build -j "$jobs" --target bench_mt_scaling
-  ./build/bench/bench_mt_scaling --out bench/baselines/BENCH_mt_scaling.json
+  ./build/bench/bench_mt_scaling --out build/BENCH_mt_scaling.json
   echo "== tsan: MT scaling with ir_lfu attached (JIT dispatch must not serialize lanes) =="
   ./build/bench/bench_mt_scaling --quick --policy ir_lfu --check \
       --out build/BENCH_mt_scaling_ir_lfu.json
@@ -114,6 +118,9 @@ if [[ "$bench_smoke" == 1 ]]; then
   #   ./build/bench/bench_writeback --out bench/baselines/BENCH_writeback.json
   #   ./build/bench/bench_table4_noop_overhead --ir-bench \
   #       --out bench/baselines/BENCH_ir_jit.json
+  # BENCH_mt_scaling.json is a reference curve no gate reads (--tsan writes
+  # its run to build/); regenerate it with:
+  #   ./build/bench/bench_mt_scaling --out bench/baselines/BENCH_mt_scaling.json
   echo "== bench-smoke: build benches (build/) =="
   cmake -B build >/dev/null
   cmake --build build -j "$jobs" --target bench_table4_noop_overhead bench_local_storage bench_lockless_reads bench_reclaim bench_readahead_order bench_writeback
@@ -167,6 +174,11 @@ fi
 
 echo "== tier-1: build + ctest (build/) =="
 run_suite build
+
+echo "== perfbench: build + perfbench_test (.bench_build/perfbench/) =="
+cmake -S perfbench -B .bench_build/perfbench >/dev/null
+cmake --build .bench_build/perfbench -j "$jobs"
+./.bench_build/perfbench/perfbench_test
 
 if [[ "$sanitize" == 1 ]]; then
   echo "== sanitizers: ASan + UBSan (build-asan/) =="
