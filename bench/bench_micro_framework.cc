@@ -5,11 +5,16 @@
 //  - eviction-list kfuncs: add/move/iterate (§4.2.2);
 //  - bpf map update/lookup, LRU-hash update, ring buffer output (§4.1);
 //  - xarray load/store (page-cache index);
-//  - the end-to-end cached-read path with and without a no-op policy.
+//  - the end-to-end cached-read path with and without a no-op policy;
+//  - the LSM write side: memtable Put, memtable flush, L0 compaction, and
+//    the EBR retire every freed folio goes through.
 
 #include <benchmark/benchmark.h>
+#include <malloc.h>
+#include <sys/resource.h>
 
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -20,9 +25,14 @@
 #include "src/cache_ext/eviction_list.h"
 #include "src/cache_ext/registry.h"
 #include "src/harness/env.h"
+#include "src/lsm/db.h"
+#include "src/lsm/memtable.h"
 #include "src/mm/xarray.h"
+#include "src/util/ebr.h"
 #include "src/util/histogram.h"
 #include "src/util/rng.h"
+#include "src/workloads/distributions.h"
+#include "src/workloads/kv_workload.h"
 
 namespace cache_ext {
 namespace {
@@ -299,6 +309,183 @@ void BM_CachedReadNoopPolicy(benchmark::State& state) {
   CachedReadPath(state, true);
 }
 BENCHMARK(BM_CachedReadNoopPolicy);
+
+// --- LSM write side (kv_update_zipf's flushes and compactions) ---------------
+
+constexpr uint64_t kKvKeys = 20000;
+constexpr uint32_t kKvValueBytes = 2048;
+
+// `n` keys drawn from the scrambled Zipfian YCSB uses, so the timed loop
+// does not pay for the generator.
+std::vector<std::string> ZipfKeys(size_t n, uint64_t seed) {
+  workloads::ScrambledZipfianGenerator zipf(kKvKeys);
+  Rng rng(seed);
+  std::vector<std::string> keys(n);
+  for (std::string& key : keys) {
+    key = workloads::KvGenerator::KeyFor(zipf.Next(rng));
+  }
+  return keys;
+}
+
+// One memtable Put of a 2 KiB value, starting a fresh memtable every 4 MiB
+// as a flush does.
+void BM_MemtablePut2K(benchmark::State& state) {
+  const std::vector<std::string> keys = ZipfKeys(1 << 16, 11);
+  const std::string value(kKvValueBytes, 'v');
+  lsm::MemTable memtable;
+  size_t i = 0;
+  for (auto _ : state) {
+    memtable.Put(keys[i++ & (keys.size() - 1)], value);
+    if (memtable.ApproximateBytes() >= (4 << 20)) {
+      memtable.Reset();
+    }
+  }
+}
+BENCHMARK(BM_MemtablePut2K);
+
+// One store for every iteration and repetition of a benchmark. Each
+// iteration starts an empty DB on it after deleting the tables the last one
+// wrote, with the timer paused, so the device does not grow and the
+// allocator settles into the steady state a long-running store sees instead
+// of faulting in fresh pages for every new store.
+class WriteSideStore {
+ public:
+  WriteSideStore() : cg_(env_.CreateCgroup("/write_side", 64 << 20)) {
+    // Keep freed memory in the process. Every iteration frees and regrows
+    // MiB-sized table buffers and device files; left to its defaults,
+    // glibc hands some of them back to the kernel depending on its
+    // allocation history, and the timed flush then pays a page fault per
+    // page, which swamps the copies being measured.
+    mallopt(M_MMAP_THRESHOLD, 32 << 20);
+    mallopt(M_TRIM_THRESHOLD, 1 << 30);
+  }
+
+  lsm::LsmDb& Reset(const lsm::DbOptions& options) {
+    db_.reset();
+    for (const std::string& name : env_.disk().ListFiles()) {
+      auto as = env_.cache().OpenFile(name);
+      CHECK(as.ok());
+      CHECK(env_.cache().DeleteFile(lane_, *as).ok());
+    }
+    db_ = std::make_unique<lsm::LsmDb>(&env_.cache(), cg_, "micro", options);
+    return *db_;
+  }
+
+  // Puts 2 KiB values under the next `n` keys of `keys`, from `*next` on.
+  void Fill(const std::vector<std::string>& keys, size_t* next, size_t n) {
+    const std::string value(kKvValueBytes, 'v');
+    for (size_t i = 0; i < n; ++i) {
+      CHECK(db_->Put(lane_, keys[(*next)++], value).ok());
+    }
+  }
+
+  // Flushes the DB, timed; call with the timer paused. Adds the minor page
+  // faults the flush took to `*faults`, which shows that the timed region
+  // is not paying for memory the allocator handed back to the kernel.
+  void TimedFlush(benchmark::State& state, int64_t* faults) {
+    const int64_t before = MinorFaults();
+    state.ResumeTiming();
+    CHECK(db_->Flush(lane_).ok());
+    state.PauseTiming();
+    *faults += MinorFaults() - before;
+    state.ResumeTiming();
+  }
+
+  Lane& lane() { return lane_; }
+
+ private:
+  static int64_t MinorFaults() {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return usage.ru_minflt;
+  }
+
+  harness::Env env_;
+  MemCgroup* cg_;
+  Lane lane_{0, TaskContext{1, 1}, 1};
+  std::unique_ptr<lsm::LsmDb> db_;
+};
+
+// Distinct keys in Zipfian first-touch order: spread over the whole key
+// space, so tables filled from consecutive runs of them overlap.
+std::vector<std::string> DistinctZipfKeys(size_t n) {
+  std::vector<std::string> keys;
+  std::vector<bool> seen(kKvKeys, false);
+  workloads::ScrambledZipfianGenerator zipf(kKvKeys);
+  Rng rng(13);
+  while (keys.size() < n) {
+    const uint64_t k = zipf.Next(rng);
+    if (!seen[k]) {
+      seen[k] = true;
+      keys.push_back(workloads::KvGenerator::KeyFor(k));
+    }
+  }
+  return keys;
+}
+
+// Memtable Puts that make `bytes` as the DB counts them (key + value + 32).
+constexpr size_t PutsFor(uint64_t bytes) {
+  return bytes / (16 + kKvValueBytes + 32);
+}
+
+// One flush of a 4 MiB memtable of 2 KiB values into an L0 table, through
+// the page cache and an fsync to the device.
+void BM_FlushMemtable4MiB(benchmark::State& state) {
+  const std::vector<std::string> keys = DistinctZipfKeys(PutsFor(4 << 20));
+  lsm::DbOptions options;
+  options.memtable_bytes = 64 << 20;  // flushed by hand
+  static WriteSideStore store;
+  int64_t faults = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    store.Reset(options);
+    size_t next = 0;
+    store.Fill(keys, &next, keys.size());
+    store.TimedFlush(state, &faults);
+  }
+  state.counters["minflt"] = benchmark::Counter(
+      static_cast<double>(faults), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_FlushMemtable4MiB)->Unit(benchmark::kMillisecond);
+
+// Four overlapping 1 MiB L0 tables merged into L1. The timed Flush writes
+// the fourth table and runs the compaction it triggers; that flush costs
+// about a quarter of BM_FlushMemtable4MiB.
+void BM_CompactL0(benchmark::State& state) {
+  lsm::DbOptions options;
+  options.memtable_bytes = 64 << 20;  // flushed by hand
+  const size_t per_table = PutsFor(1 << 20);
+  const std::vector<std::string> keys =
+      DistinctZipfKeys(per_table * options.l0_compaction_trigger);
+  static WriteSideStore store;
+  int64_t faults = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    lsm::LsmDb& db = store.Reset(options);
+    size_t next = 0;
+    for (int table = 1; table < options.l0_compaction_trigger; ++table) {
+      store.Fill(keys, &next, per_table);
+      CHECK(db.Flush(store.lane()).ok());
+    }
+    store.Fill(keys, &next, per_table);
+    store.TimedFlush(state, &faults);
+    CHECK(db.compactions_run() == 1);
+  }
+  state.counters["minflt"] = benchmark::Counter(
+      static_cast<double>(faults), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_CompactL0)->Unit(benchmark::kMillisecond);
+
+// ebr::Retire with no reader inside a guard, so the object is freed before
+// Retire returns: the path every folio freed by eviction or file deletion
+// takes.
+void BM_EbrRetireQuiescent(benchmark::State& state) {
+  int object = 0;
+  for (auto _ : state) {
+    ebr::Retire(&object, [](void* p) { benchmark::DoNotOptimize(p); });
+  }
+}
+BENCHMARK(BM_EbrRetireQuiescent);
 
 }  // namespace
 }  // namespace cache_ext

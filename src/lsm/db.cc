@@ -12,14 +12,17 @@ namespace cache_ext::lsm {
 namespace {
 
 // A merge source: a stream of records in key order with a recency priority
-// (lower = newer, wins on duplicate keys).
+// (lower = newer, wins on duplicate keys). key() and value() are views that
+// stay valid until the source's next Next().
 class Source {
  public:
   virtual ~Source() = default;
   virtual bool Valid() const = 0;
-  virtual const std::string& key() const = 0;
-  virtual const std::string& value() const = 0;
+  virtual std::string_view key() const = 0;
+  virtual std::string_view value() const = 0;
   virtual bool tombstone() const = 0;
+  // Why the source stopped early: a read or parse error, which ends it.
+  virtual Status status() const = 0;
   virtual Status Next() = 0;
 };
 
@@ -29,9 +32,10 @@ class MemSource : public Source {
     iter_.Seek(list, start);
   }
   bool Valid() const override { return iter_.Valid(); }
-  const std::string& key() const override { return iter_.key(); }
-  const std::string& value() const override { return iter_.entry().value; }
+  std::string_view key() const override { return iter_.key(); }
+  std::string_view value() const override { return iter_.entry().value; }
   bool tombstone() const override { return iter_.entry().tombstone; }
+  Status status() const override { return OkStatus(); }
   Status Next() override {
     iter_.Next();
     return OkStatus();
@@ -43,27 +47,27 @@ class MemSource : public Source {
 
 class TableSource : public Source {
  public:
+  // A failed Seek leaves the iterator invalid with its status set.
   TableSource(SSTableReader* table, Lane& lane, std::string_view start)
       : iter_(table, lane) {
-    status_ = iter_.Seek(start);
+    (void)iter_.Seek(start);
   }
-  bool Valid() const override { return status_.ok() && iter_.Valid(); }
-  const std::string& key() const override { return iter_.record().key; }
-  const std::string& value() const override { return iter_.record().value; }
-  bool tombstone() const override { return iter_.record().tombstone; }
-  Status Next() override {
-    status_ = iter_.Next();
-    return status_;
-  }
+  bool Valid() const override { return iter_.Valid(); }
+  std::string_view key() const override { return iter_.key(); }
+  std::string_view value() const override { return iter_.value(); }
+  bool tombstone() const override { return iter_.tombstone(); }
+  Status status() const override { return iter_.status(); }
+  Status Next() override { return iter_.Next(); }
 
  private:
   SSTableReader::Iterator iter_;
-  Status status_;
 };
 
 // Merges sources by (key, priority-index): index order in `sources` is the
 // recency order, newest first. Emits the newest version of each key,
-// including tombstones (the caller filters).
+// including tombstones (the caller filters). A source that fails stops:
+// Next() returns the error, and status() reports one hit while the sources
+// were positioned, which callers check before using the first record.
 class MergingIterator {
  public:
   explicit MergingIterator(std::vector<std::unique_ptr<Source>> sources)
@@ -72,15 +76,25 @@ class MergingIterator {
   }
 
   bool Valid() const { return current_ != nullptr; }
-  const std::string& key() const { return current_->key(); }
-  const std::string& value() const { return current_->value(); }
+  std::string_view key() const { return current_->key(); }
+  std::string_view value() const { return current_->value(); }
   bool tombstone() const { return current_->tombstone(); }
 
+  // The first source error, or OK.
+  Status status() const {
+    for (const auto& src : sources_) {
+      CACHE_EXT_RETURN_IF_ERROR(src->status());
+    }
+    return OkStatus();
+  }
+
   Status Next() {
-    const std::string current_key = key();
+    // Advancing the emitting source may reload its segment under the view,
+    // so compare against a copy (its capacity is reused across records).
+    current_key_.assign(key());
     // Pop the emitted key from every source that carries it.
     for (auto& src : sources_) {
-      while (src->Valid() && src->key() == current_key) {
+      while (src->Valid() && src->key() == current_key_) {
         CACHE_EXT_RETURN_IF_ERROR(src->Next());
       }
     }
@@ -105,6 +119,7 @@ class MergingIterator {
 
   std::vector<std::unique_ptr<Source>> sources_;
   Source* current_ = nullptr;
+  std::string current_key_;
 };
 
 }  // namespace
@@ -165,7 +180,7 @@ Expected<std::string> LsmDb::Get(Lane& lane, std::string_view key) {
     if (entry->tombstone) {
       return NotFound("deleted");
     }
-    return entry->value;
+    return std::string(entry->value);
   }
   // 2. L0, newest to oldest (files may overlap).
   for (auto& meta : levels_[0]) {
@@ -247,14 +262,13 @@ Expected<std::vector<Record>> LsmDb::Scan(Lane& lane, std::string_view start,
   }
 
   MergingIterator merge(std::move(sources));
+  CACHE_EXT_RETURN_IF_ERROR(merge.status());
   std::vector<Record> out;
   out.reserve(count);
   while (merge.Valid() && out.size() < count) {
     if (!merge.tombstone()) {
-      Record rec;
-      rec.key = merge.key();
-      rec.value = merge.value();
-      out.push_back(std::move(rec));
+      out.push_back(Record{std::string(merge.key()),
+                           std::string(merge.value()), false});
     }
     CACHE_EXT_RETURN_IF_ERROR(merge.Next());
   }
@@ -273,7 +287,7 @@ Status LsmDb::FlushMemtable(Lane& lane) {
   FileMeta meta;
   meta.number = next_file_number_;
   meta.name = NewFileName();
-  SSTableBuilder builder(pc_, cg_, meta.name);
+  SSTableBuilder builder(pc_, cg_, meta.name, memtable_.ApproximateBytes());
   for (auto iter = memtable_.NewIterator(); iter.Valid(); iter.Next()) {
     CACHE_EXT_RETURN_IF_ERROR(
         builder.Add(iter.key(), iter.entry().value, iter.entry().tombstone));
@@ -425,24 +439,43 @@ Status LsmDb::MergeFiles(int input_level, std::vector<size_t> input_indices,
     return OkStatus();
   };
 
-  while (merge.Valid()) {
-    // Drop tombstones when merging into the bottom level.
-    if (!(bottom_level && merge.tombstone())) {
-      if (builder == nullptr) {
-        current = FileMeta();
-        current.number = next_file_number_;
-        current.name = NewFileName();
-        builder = std::make_unique<SSTableBuilder>(pc_, cg_, current.name);
+  const auto write_outputs = [&]() -> Status {
+    CACHE_EXT_RETURN_IF_ERROR(merge.status());
+    while (merge.Valid()) {
+      // Drop tombstones when merging into the bottom level.
+      if (!(bottom_level && merge.tombstone())) {
+        if (builder == nullptr) {
+          current = FileMeta();
+          current.number = next_file_number_;
+          current.name = NewFileName();
+          builder = std::make_unique<SSTableBuilder>(
+              pc_, cg_, current.name, options_.target_file_bytes);
+        }
+        CACHE_EXT_RETURN_IF_ERROR(
+            builder->Add(merge.key(), merge.value(), merge.tombstone()));
+        if (builder->EstimatedBytes() >= options_.target_file_bytes) {
+          CACHE_EXT_RETURN_IF_ERROR(finish_current());
+        }
       }
-      CACHE_EXT_RETURN_IF_ERROR(
-          builder->Add(merge.key(), merge.value(), merge.tombstone()));
-      if (builder->EstimatedBytes() >= options_.target_file_bytes) {
-        CACHE_EXT_RETURN_IF_ERROR(finish_current());
+      CACHE_EXT_RETURN_IF_ERROR(merge.Next());
+    }
+    return finish_current();
+  };
+
+  if (Status status = write_outputs(); !status.ok()) {
+    // A source that failed would silently drop its records from the
+    // outputs: keep the inputs in place and delete what was written,
+    // including a table whose Finish failed part way.
+    if (builder != nullptr) {
+      new_files.push_back(std::move(current));
+    }
+    for (const FileMeta& meta : new_files) {
+      if (auto as = pc_->OpenFile(meta.name); as.ok()) {
+        (void)pc_->DeleteFile(lane, *as);
       }
     }
-    CACHE_EXT_RETURN_IF_ERROR(merge.Next());
+    return status;
   }
-  CACHE_EXT_RETURN_IF_ERROR(finish_current());
 
   // Delete the merged inputs (folio removal in circumvention of eviction).
   std::vector<std::string> doomed;
@@ -524,7 +557,8 @@ Status LsmDb::BulkLoad(
       current = FileMeta();
       current.number = next_file_number_;
       current.name = NewFileName();
-      builder = std::make_unique<SSTableBuilder>(pc_, cg_, current.name);
+      builder = std::make_unique<SSTableBuilder>(pc_, cg_, current.name,
+                                                 options_.target_file_bytes);
     }
     CACHE_EXT_RETURN_IF_ERROR(builder->Add(key, value, /*tombstone=*/false));
     if (builder->EstimatedBytes() >= options_.target_file_bytes) {

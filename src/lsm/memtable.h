@@ -1,4 +1,5 @@
-// MemTable: skiplist wrapper tracking approximate memory use.
+// MemTable: skiplist wrapper tracking approximate memory use. Entries and
+// keys it hands out view the skiplist's arena and die with Reset().
 
 #ifndef SRC_LSM_MEMTABLE_H_
 #define SRC_LSM_MEMTABLE_H_

@@ -8,24 +8,31 @@
 namespace cache_ext::lsm {
 
 SSTableBuilder::SSTableBuilder(PageCache* pc, MemCgroup* cg,
-                               std::string file_name,
+                               std::string file_name, uint64_t expected_bytes,
                                uint64_t target_block_bytes)
     : pc_(pc),
       cg_(cg),
       file_name_(std::move(file_name)),
-      target_block_bytes_(target_block_bytes) {}
+      target_block_bytes_(target_block_bytes) {
+  if (expected_bytes > 0) {
+    // Past the hint: up to one record of overshoot (two blocks' worth), the
+    // index (about 33 bytes per 4 KiB block with 16-byte keys; 1/32 of the
+    // data leaves room for longer keys) and the footer.
+    buffer_.reserve(expected_bytes + expected_bytes / 32 +
+                    2 * target_block_bytes + 24);
+  }
+}
 
 void SSTableBuilder::CutBlock() {
-  if (block_.empty()) {
+  const uint64_t block_size = buffer_.size() - block_start_;
+  if (block_size == 0) {
     return;
   }
   PutVarint32(&index_, static_cast<uint32_t>(last_key_.size()));
   index_.append(last_key_);
-  PutFixed64(&index_, block_offset_);
-  PutFixed64(&index_, block_.size());
-  buffer_.append(block_);
-  block_offset_ += block_.size();
-  block_.clear();
+  PutFixed64(&index_, block_start_);
+  PutFixed64(&index_, block_size);
+  block_start_ = buffer_.size();
 }
 
 Status SSTableBuilder::Add(std::string_view key, std::string_view value,
@@ -36,18 +43,17 @@ Status SSTableBuilder::Add(std::string_view key, std::string_view value,
   if (num_entries_ > 0 && key <= last_key_) {
     return InvalidArgument("keys must be added in increasing order");
   }
-  PutVarint32(&block_, static_cast<uint32_t>(key.size()));
-  PutVarint32(&block_, static_cast<uint32_t>(value.size()));
-  block_.push_back(tombstone ? '\1' : '\0');
-  block_.append(key);
-  block_.append(value);
+  PutVarint32(&buffer_, static_cast<uint32_t>(key.size()));
+  PutVarint32(&buffer_, static_cast<uint32_t>(value.size()));
+  buffer_.push_back(tombstone ? '\1' : '\0');
+  buffer_.append(key);
+  buffer_.append(value);
   if (num_entries_ == 0) {
     smallest_.assign(key);
   }
-  largest_.assign(key);
   last_key_.assign(key);
   ++num_entries_;
-  if (block_.size() >= target_block_bytes_) {
+  if (buffer_.size() - block_start_ >= target_block_bytes_) {
     CutBlock();
   }
   return OkStatus();
@@ -212,13 +218,11 @@ Expected<std::optional<PointRecord>> SSTableReader::Get(Lane& lane,
 SSTableReader::Iterator::Iterator(SSTableReader* table, Lane& lane)
     : table_(table), lane_(lane) {
   if (!table_->blocks_.empty()) {
-    if (LoadSegment(0).ok()) {
-      valid_ = ParseNext();
-    }
+    LoadSegment(0);
   }
 }
 
-Status SSTableReader::Iterator::LoadSegment(size_t block_idx) {
+void SSTableReader::Iterator::LoadSegment(size_t block_idx) {
   segment_first_block_ = block_idx;
   segment_nr_blocks_ =
       std::min(kSegmentBlocks, table_->blocks_.size() - block_idx);
@@ -228,12 +232,14 @@ Status SSTableReader::Iterator::LoadSegment(size_t block_idx) {
   const BlockHandle& first = table_->blocks_[block_idx];
   const BlockHandle& last = table_->blocks_[block_idx + segment_nr_blocks_ - 1];
   const uint64_t bytes = last.offset + last.size - first.offset;
-  return table_->ReadBlock(lane_, first.offset, bytes, &segment_data_);
+  status_ = table_->ReadBlock(lane_, first.offset, bytes, &segment_data_);
+  valid_ = status_.ok() && ParseNext();
 }
 
 bool SSTableReader::Iterator::ParseNext() {
   // Records are contiguous within and across the blocks of a segment, so
-  // parsing runs linearly through the whole segment.
+  // parsing runs linearly through the whole segment; a record never spans
+  // two segments.
   const uint8_t* base = segment_data_.data();
   const uint8_t* limit = base + segment_data_.size();
   const uint8_t* p = base + segment_pos_;
@@ -243,18 +249,19 @@ bool SSTableReader::Iterator::ParseNext() {
   uint32_t klen = 0;
   uint32_t vlen = 0;
   size_t n = GetVarint32(p, limit, &klen);
-  if (n == 0) {
-    return false;
+  if (n != 0) {
+    p += n;
+    n = GetVarint32(p, limit, &vlen);
   }
-  p += n;
-  n = GetVarint32(p, limit, &vlen);
   if (n == 0 || p + n + 1 + klen + vlen > limit) {
+    status_ = Corruption("bad record in " + table_->name_);
     return false;
   }
   p += n;
-  record_.tombstone = *p++ != 0;
-  record_.key.assign(reinterpret_cast<const char*>(p), klen);
-  record_.value.assign(reinterpret_cast<const char*>(p + klen), vlen);
+  tombstone_ = *p++ != 0;
+  const char* key = reinterpret_cast<const char*>(p);
+  key_ = std::string_view(key, klen);
+  value_ = std::string_view(key + klen, vlen);
   segment_pos_ = static_cast<size_t>(p + klen + vlen - base);
   return true;
 }
@@ -268,27 +275,28 @@ Status SSTableReader::Iterator::Next() {
   }
   // Advance to the next segment.
   const size_t next_block = segment_first_block_ + segment_nr_blocks_;
-  if (next_block < table_->blocks_.size()) {
-    CACHE_EXT_RETURN_IF_ERROR(LoadSegment(next_block));
-    valid_ = ParseNext();
+  if (status_.ok() && next_block < table_->blocks_.size()) {
+    LoadSegment(next_block);
   } else {
     valid_ = false;
   }
-  return OkStatus();
+  return status_;
 }
 
 Status SSTableReader::Iterator::Seek(std::string_view target) {
+  if (!status_.ok()) {
+    return status_;
+  }
   const size_t b = table_->FindBlock(target);
   if (b == table_->blocks_.size()) {
     valid_ = false;
     return OkStatus();
   }
-  CACHE_EXT_RETURN_IF_ERROR(LoadSegment(b));
-  valid_ = ParseNext();
-  while (valid_ && record_.key < target) {
+  LoadSegment(b);
+  while (valid_ && key_ < target) {
     CACHE_EXT_RETURN_IF_ERROR(Next());
   }
-  return OkStatus();
+  return status_;
 }
 
 }  // namespace cache_ext::lsm

@@ -43,7 +43,12 @@ struct PointRecord {
 
 class SSTableBuilder {
  public:
+  // `expected_bytes` is the data size the caller expects to add (0: no
+  // hint). The table is built in one buffer, reserved once for that much
+  // data plus the overshoot and the index, so a table near its hint is
+  // never copied while it grows.
   SSTableBuilder(PageCache* pc, MemCgroup* cg, std::string file_name,
+                 uint64_t expected_bytes = 0,
                  uint64_t target_block_bytes = 4096);
 
   // Keys must be added in strictly increasing order.
@@ -53,13 +58,15 @@ class SSTableBuilder {
   // size in bytes.
   Expected<uint64_t> Finish(Lane& lane);
 
-  uint64_t EstimatedBytes() const { return buffer_.size() + block_.size(); }
+  // Data bytes added so far, the open block included.
+  uint64_t EstimatedBytes() const { return buffer_.size(); }
   uint64_t num_entries() const { return num_entries_; }
   const std::string& smallest_key() const { return smallest_; }
-  const std::string& largest_key() const { return largest_; }
+  const std::string& largest_key() const { return last_key_; }
   const std::string& file_name() const { return file_name_; }
 
  private:
+  // Ends the open block: appends its index entry.
   void CutBlock();
 
   PageCache* pc_;
@@ -67,13 +74,13 @@ class SSTableBuilder {
   std::string file_name_;
   uint64_t target_block_bytes_;
 
-  std::string buffer_;  // finished blocks
-  std::string block_;   // current block under construction
+  // The finished blocks, then the open block from block_start_ to the end;
+  // Finish appends the index and footer.
+  std::string buffer_;
+  uint64_t block_start_ = 0;
   std::string index_;
   std::string last_key_;
   std::string smallest_;
-  std::string largest_;
-  uint64_t block_offset_ = 0;
   uint64_t num_entries_ = 0;
   bool finished_ = false;
 };
@@ -104,17 +111,27 @@ class SSTableReader {
    public:
     static constexpr size_t kSegmentBlocks = 16;
 
+    // Positioned at the first record.
     Iterator(SSTableReader* table, Lane& lane);
     bool Valid() const { return valid_; }
-    const Record& record() const { return record_; }
+    // The current record. The views point into the segment buffer and stay
+    // valid until the next Next() or Seek().
+    std::string_view key() const { return key_; }
+    std::string_view value() const { return value_; }
+    bool tombstone() const { return tombstone_; }
+    // The first error a segment read or a record parse hit, malformed
+    // records as Corruption. Sticky: the iterator stays invalid after it.
+    const Status& status() const { return status_; }
     Status Next();
     // Position at the first record with key >= target.
     Status Seek(std::string_view target);
 
    private:
     // Loads the segment of up to kSegmentBlocks blocks starting at
-    // block_idx with one read.
-    Status LoadSegment(size_t block_idx);
+    // block_idx with one read and parses its first record.
+    void LoadSegment(size_t block_idx);
+    // Parses the record at segment_pos_. False at the end of the segment
+    // and on a malformed record, which also sets status_.
     bool ParseNext();
 
     SSTableReader* table_;
@@ -123,8 +140,11 @@ class SSTableReader {
     size_t segment_nr_blocks_ = 0;
     std::vector<uint8_t> segment_data_;
     size_t segment_pos_ = 0;
-    Record record_;
+    std::string_view key_;
+    std::string_view value_;
+    bool tombstone_ = false;
     bool valid_ = false;
+    Status status_;
   };
 
   uint64_t file_size() const { return file_size_; }

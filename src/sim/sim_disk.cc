@@ -95,11 +95,17 @@ Status SimDisk::WriteAt(FileId id, uint64_t offset,
   if (f == nullptr) {
     return NotFound("bad file id");
   }
-  const uint64_t end = offset + data.size();
-  if (f->data.size() < end) {
-    f->data.resize(end, 0);
+  // Overwrite the part of the file that exists and append the rest; only a
+  // gap before `offset` is zero-filled.
+  if (f->data.size() < offset) {
+    f->data.resize(offset, 0);
   }
-  std::memcpy(f->data.data() + offset, data.data(), data.size());
+  const size_t overlap =
+      std::min<uint64_t>(data.size(), f->data.size() - offset);
+  if (overlap > 0) {
+    std::memcpy(f->data.data() + offset, data.data(), overlap);
+  }
+  f->data.insert(f->data.end(), data.begin() + overlap, data.end());
   return OkStatus();
 }
 

@@ -21,6 +21,37 @@ struct Retired {
   uint64_t epoch;
 };
 
+// Objects whose grace period has elapsed, collected under retire_mu_ and
+// freed after it is released. The few an advance usually frees sit inline,
+// so a retire allocates nothing; a backlog released at once spills over.
+// Lives on the caller's stack, so a deleter may itself retire objects.
+class FreeBatch {
+ public:
+  void Add(const Retired& r) {
+    if (inline_size_ < inline_.size()) {
+      inline_[inline_size_++] = r;
+    } else {
+      overflow_.push_back(r);
+    }
+  }
+
+  // Runs every deleter; returns how many ran.
+  size_t FreeAll() {
+    for (size_t i = 0; i < inline_size_; ++i) {
+      inline_[i].deleter(inline_[i].object);
+    }
+    for (const Retired& r : overflow_) {
+      r.deleter(r.object);
+    }
+    return inline_size_ + overflow_.size();
+  }
+
+ private:
+  std::array<Retired, 4> inline_{};
+  size_t inline_size_ = 0;
+  std::vector<Retired> overflow_;
+};
+
 class Domain {
  public:
   // Upper bound on threads that have ever held a Guard concurrently with
@@ -66,70 +97,33 @@ class Domain {
   uint64_t Epoch() const { return epoch_.load(std::memory_order_seq_cst); }
 
   void Retire(void* object, void (*deleter)(void*)) {
+    FreeBatch batch;
     {
       std::lock_guard<std::mutex> lock(retire_mu_);
       // Tagging under retire_mu_ (which also serializes advances) keeps the
       // deque's epochs non-decreasing, so frees pop from the front.
       retired_.push_back({object, deleter, Epoch()});
       retired_count_.fetch_add(1, std::memory_order_relaxed);
+      // Opportunistic: two steps are a full grace period, so a quiescent
+      // (reader-free) process frees the object before Retire returns —
+      // matching the eager-delete semantics callers had before EBR. Any
+      // active reader simply blocks the step and the object stays deferred.
+      // Both steps run under this one lock hold.
+      AdvanceLocked(batch);
+      AdvanceLocked(batch);
     }
-    // Opportunistic: two steps are a full grace period, so a quiescent
-    // (reader-free) process frees the object before Retire returns —
-    // matching the eager-delete semantics callers had before EBR. Any
-    // active reader simply blocks the step and the object stays deferred.
-    TryAdvance();
-    TryAdvance();
+    Free(batch);
   }
 
   bool TryAdvance() {
-    std::vector<Retired> to_free;
+    FreeBatch batch;
+    bool advanced = false;
     {
       std::lock_guard<std::mutex> lock(retire_mu_);
-      // ebr.stall: a phantom reader pinned at the current epoch. The ttl
-      // counts *blocked advance attempts* (reclaim-side retries), the
-      // virtual-time analogue of a reader wedged in its critical section.
-      if (!phantom_active_) {
-        uint64_t magnitude = 0;
-        if (fault::InjectFault(fault::points::kEbrStall, &magnitude)) {
-          phantom_active_ = true;
-          phantom_ttl_ = magnitude == 0 ? kDefaultPhantomTtl : magnitude;
-        }
-      }
-      if (phantom_active_) {
-        if (--phantom_ttl_ == 0) {
-          phantom_active_ = false;
-        }
-        return false;
-      }
-
-      const uint64_t e = epoch_.load(std::memory_order_seq_cst);
-      const size_t hw = high_water_.load(std::memory_order_relaxed);
-      for (size_t i = 0; i < hw; ++i) {
-        const uint64_t s = slots_[i].state.load(std::memory_order_seq_cst);
-        if ((s & 1) != 0 && (s >> 1) != e) {
-          // An active reader still pinned at the previous epoch: it may
-          // hold references retired one grace period ago.
-          return false;
-        }
-      }
-      const uint64_t next = e + 1;
-      epoch_.store(next, std::memory_order_seq_cst);
-      while (!retired_.empty() && retired_.front().epoch + 2 <= next) {
-        to_free.push_back(retired_.front());
-        retired_.pop_front();
-      }
+      advanced = AdvanceLocked(batch);
     }
-    // Deleters run outside retire_mu_: they may take their own locks
-    // (~Folio walks the local-storage directory) and must not nest under
-    // the reclamation lock.
-    for (const Retired& r : to_free) {
-      r.deleter(r.object);
-    }
-    if (!to_free.empty()) {
-      retired_count_.fetch_sub(to_free.size(), std::memory_order_relaxed);
-      freed_count_.fetch_add(to_free.size(), std::memory_order_relaxed);
-    }
-    return true;
+    Free(batch);
+    return advanced;
   }
 
   uint64_t retired_count() const {
@@ -152,6 +146,56 @@ class Domain {
   }
 
  private:
+  // One epoch step; moves every object whose grace period it completes
+  // into `batch`. Returns false when a reader blocks the step.
+  bool AdvanceLocked(FreeBatch& batch) {
+    // ebr.stall: a phantom reader pinned at the current epoch. The ttl
+    // counts *blocked advance attempts* (reclaim-side retries), the
+    // virtual-time analogue of a reader wedged in its critical section.
+    if (!phantom_active_) {
+      uint64_t magnitude = 0;
+      if (fault::InjectFault(fault::points::kEbrStall, &magnitude)) {
+        phantom_active_ = true;
+        phantom_ttl_ = magnitude == 0 ? kDefaultPhantomTtl : magnitude;
+      }
+    }
+    if (phantom_active_) {
+      if (--phantom_ttl_ == 0) {
+        phantom_active_ = false;
+      }
+      return false;
+    }
+
+    const uint64_t e = epoch_.load(std::memory_order_seq_cst);
+    const size_t hw = high_water_.load(std::memory_order_relaxed);
+    for (size_t i = 0; i < hw; ++i) {
+      const uint64_t s = slots_[i].state.load(std::memory_order_seq_cst);
+      if ((s & 1) != 0 && (s >> 1) != e) {
+        // An active reader still pinned at the previous epoch: it may
+        // hold references retired one grace period ago.
+        return false;
+      }
+    }
+    const uint64_t next = e + 1;
+    epoch_.store(next, std::memory_order_seq_cst);
+    while (!retired_.empty() && retired_.front().epoch + 2 <= next) {
+      batch.Add(retired_.front());
+      retired_.pop_front();
+    }
+    return true;
+  }
+
+  // Deleters run outside retire_mu_: they may take their own locks (~Folio
+  // walks the local-storage directory) and must not nest under the
+  // reclamation lock.
+  void Free(FreeBatch& batch) {
+    const size_t freed = batch.FreeAll();
+    if (freed != 0) {
+      retired_count_.fetch_sub(freed, std::memory_order_relaxed);
+      freed_count_.fetch_add(freed, std::memory_order_relaxed);
+    }
+  }
+
   // Starts at 2 so `epoch + 2 <= next` never deals with pre-history.
   std::atomic<uint64_t> epoch_{2};
   std::array<Slot, kMaxSlots> slots_{};

@@ -13,7 +13,8 @@
 // unreachable by the time the epoch reaches r+2: readers that could have
 // seen it entered at epoch <= r, and both intervening advances proved those
 // readers gone. TryAdvance performs one step; Retire opportunistically
-// attempts two so a quiescent (reader-free) process frees retired objects
+// attempts two, under the same hold of the retire lock that queues the
+// object, so a quiescent (reader-free) process frees retired objects
 // immediately, matching the eager-delete semantics the page cache had
 // before EBR.
 //

@@ -82,6 +82,38 @@ TEST(EbrTest, NestedGuardsKeepOneOutermostPin) {
   EXPECT_EQ(ebr::ActiveReaders(), 0u);
 }
 
+TEST(EbrTest, QuiescentRetireFreesTheWholeBacklog) {
+  // A backlog deferred behind a reader is freed by the first retire after
+  // the reader leaves, together with that retire's own object: more frees
+  // than one retire usually collects, all before Retire returns.
+  constexpr int kBacklog = 20;
+  std::atomic<int> stage{0};
+  std::thread reader([&stage] {
+    ebr::Guard guard;
+    stage.store(1, std::memory_order_seq_cst);
+    while (stage.load(std::memory_order_seq_cst) < 2) {
+      std::this_thread::yield();
+    }
+  });
+  while (stage.load(std::memory_order_seq_cst) < 1) {
+    std::this_thread::yield();
+  }
+  std::atomic<int> freed{0};
+  const auto count_free = [](void* p) {
+    static_cast<std::atomic<int>*>(p)->fetch_add(1);
+  };
+  for (int i = 0; i < kBacklog; ++i) {
+    ebr::Retire(&freed, count_free);
+  }
+  EXPECT_EQ(freed.load(), 0);
+  stage.store(2, std::memory_order_seq_cst);
+  reader.join();
+
+  ebr::Retire(&freed, count_free);
+  EXPECT_EQ(freed.load(), kBacklog + 1);
+  EXPECT_EQ(ebr::RetiredCount(), 0u);
+}
+
 TEST(EbrTest, RetireUnderOwnGuardIsDeferredUntilExit) {
   // A thread may retire while itself inside a guard (the page cache never
   // does, but nothing forbids it): its own pin blocks the grace period.

@@ -4,11 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
+#include <vector>
 
+#include "src/fault/fault_injector.h"
+#include "src/lsm/arena.h"
 #include "src/lsm/db.h"
 #include "src/lsm/format.h"
 #include "src/lsm/skiplist.h"
@@ -47,7 +54,7 @@ TEST(SkipListTest, OrderedIteration) {
   }
   std::vector<std::string> seen;
   for (auto it = list.NewIterator(); it.Valid(); it.Next()) {
-    seen.push_back(it.key());
+    seen.emplace_back(it.key());
   }
   EXPECT_EQ(seen, (std::vector<std::string>{"alpha", "bravo", "charlie",
                                             "delta", "echo"}));
@@ -71,7 +78,13 @@ TEST(SkipListTest, LargePopulationStaysSorted) {
   std::map<std::string, std::string> reference;
   for (int i = 0; i < 5000; ++i) {
     std::string key = "k" + std::to_string(rng.NextU64Below(2000));
+    // Mixed sizes: mostly small, some 2 KiB, a few past a quarter block.
+    const uint64_t kind = rng.NextU64Below(16);
+    const size_t len = kind == 0   ? 20000 + rng.NextU64Below(10000)
+                       : kind < 6 ? 2048
+                                  : rng.NextU64Below(64);
     std::string value = std::to_string(i);
+    value.resize(len, static_cast<char>('a' + i % 26));
     list.Put(key, value, false);
     reference[key] = value;
   }
@@ -81,6 +94,91 @@ TEST(SkipListTest, LargePopulationStaysSorted) {
     EXPECT_EQ(it.key(), ref_it->first);
     EXPECT_EQ(it.entry().value, ref_it->second);
   }
+}
+
+TEST(SkipListTest, OverwriteWithLongerThenShorterValue) {
+  SkipList list;
+  list.Put("a", "before", false);
+  list.Put("k", "short", false);
+  list.Put("z", "after", false);
+  const std::string longer(300, 'L');
+  list.Put("k", longer, false);
+  EXPECT_EQ(list.Get("k")->value, longer);
+  list.Put("k", "tiny", false);
+  EXPECT_EQ(list.Get("k")->value, "tiny");
+  list.Put("k", std::string(300, 'M'), false);
+  EXPECT_EQ(list.Get("k")->value, std::string(300, 'M'));
+  // Neighbours are untouched and overwrites add no key.
+  EXPECT_EQ(list.Get("a")->value, "before");
+  EXPECT_EQ(list.Get("z")->value, "after");
+  EXPECT_EQ(list.size(), 3u);
+}
+
+TEST(SkipListTest, OverwriteToTombstoneAndBack) {
+  SkipList list;
+  list.Put("k", "value", false);
+  list.Put("k", "", true);
+  ASSERT_NE(list.Get("k"), nullptr);
+  EXPECT_TRUE(list.Get("k")->tombstone);
+  EXPECT_TRUE(list.Get("k")->value.empty());
+  list.Put("k", "revived", false);
+  EXPECT_FALSE(list.Get("k")->tombstone);
+  EXPECT_EQ(list.Get("k")->value, "revived");
+  EXPECT_EQ(list.size(), 1u);
+}
+
+TEST(SkipListTest, ValuesLargerThanAQuarterBlock) {
+  SkipList list;
+  std::map<std::string, std::string> reference;
+  const size_t sizes[] = {Arena::kBlockBytes / 4 + 1, 10, Arena::kBlockBytes,
+                          3, Arena::kBlockBytes * 3, 100};
+  for (size_t i = 0; i < std::size(sizes); ++i) {
+    const std::string key = "k" + std::to_string(i);
+    std::string value(sizes[i], static_cast<char>('a' + i));
+    value.front() = 'F';
+    value.back() = 'B';
+    list.Put(key, value, false);
+    reference[key] = value;
+  }
+  for (const auto& [key, value] : reference) {
+    ASSERT_NE(list.Get(key), nullptr) << key;
+    EXPECT_EQ(list.Get(key)->value, value) << key;
+  }
+}
+
+TEST(SkipListTest, EntryViewStaysValidWhileOtherKeysAreInserted) {
+  SkipList list;
+  const std::string value(2048, 'v');
+  list.Put("m", value, false);
+  const std::string_view view = list.Get("m")->value;
+  auto it = list.NewIterator();
+  const std::string_view key = it.key();
+  // Enough inserts to fill many arena blocks, some of them large values.
+  for (int i = 0; i < 4000; ++i) {
+    list.Put("k" + std::to_string(i),
+             std::string(i % 100 == 0 ? 20000 : 100, 'x'), false);
+  }
+  EXPECT_EQ(view, value);
+  EXPECT_EQ(key, "m");
+  EXPECT_EQ(list.Get("m")->value.data(), view.data());
+}
+
+TEST(SkipListTest, FixedSizeOverwritesDoNotGrowTheArena) {
+  SkipList list;
+  for (int i = 0; i < 500; ++i) {
+    list.Put("k" + std::to_string(i), std::string(2048, 'a'), false);
+  }
+  const size_t arena = list.MemoryUsage();
+  const uint64_t bytes = list.ApproximateBytes();
+  for (int round = 0; round < 10; ++round) {
+    for (int i = 0; i < 500; ++i) {
+      list.Put("k" + std::to_string(i),
+               std::string(2048, static_cast<char>('b' + round)), false);
+    }
+  }
+  EXPECT_EQ(list.MemoryUsage(), arena);
+  EXPECT_EQ(list.ApproximateBytes(), bytes);
+  EXPECT_EQ(list.Get("k7")->value, std::string(2048, 'k'));
 }
 
 // --- SSTable ------------------------------------------------------------
@@ -165,8 +263,8 @@ TEST_F(SstableTest, IteratorWalksAllRecordsInOrder) {
   int count = 0;
   std::string prev;
   while (it.Valid()) {
-    EXPECT_GT(it.record().key, prev);
-    prev = it.record().key;
+    EXPECT_GT(it.key(), prev);
+    prev = it.key();
     ++count;
     ASSERT_TRUE(it.Next().ok());
   }
@@ -187,8 +285,38 @@ TEST_F(SstableTest, IteratorSeek) {
   SSTableReader::Iterator it(reader->get(), lane);
   ASSERT_TRUE(it.Seek("k00101").ok());  // odd: lands on next even
   ASSERT_TRUE(it.Valid());
-  EXPECT_EQ(it.record().key, "k00102");
+  EXPECT_EQ(it.key(), "k00102");
   ASSERT_TRUE(it.Seek("k00999").ok());
+  EXPECT_FALSE(it.Valid());
+}
+
+TEST_F(SstableTest, IteratorReportsMalformedRecordAsCorruption) {
+  Lane lane = MakeLane();
+  SSTableBuilder builder(pc_.get(), cg_, "/malformed");
+  for (int i = 0; i < 50; ++i) {
+    char key[16];
+    std::snprintf(key, sizeof(key), "k%05d", i);
+    ASSERT_TRUE(builder.Add(key, "v", false).ok());
+  }
+  ASSERT_TRUE(builder.Finish(lane).ok());
+  // Record 0 is 10 bytes (two one-byte lengths, the flag, "k00000", "v");
+  // record 1's key length becomes a varint that never ends.
+  auto id = disk_.Open("/malformed");
+  ASSERT_TRUE(id.ok());
+  const uint8_t endless[5] = {0xFF, 0xFF, 0xFF, 0xFF, 0xFF};
+  ASSERT_TRUE(disk_.WriteAt(*id, 10, std::span<const uint8_t>(endless)).ok());
+
+  auto reader = SSTableReader::Open(pc_.get(), cg_, "/malformed", lane);
+  ASSERT_TRUE(reader.ok());
+  SSTableReader::Iterator it(reader->get(), lane);
+  ASSERT_TRUE(it.Valid());
+  EXPECT_EQ(it.key(), "k00000");
+  const Status next = it.Next();
+  EXPECT_EQ(next.code(), ErrorCode::kCorruption);
+  EXPECT_FALSE(it.Valid());
+  EXPECT_EQ(it.status().code(), ErrorCode::kCorruption);
+  // The error is sticky: a later Seek does not hide it.
+  EXPECT_EQ(it.Seek("k00000").code(), ErrorCode::kCorruption);
   EXPECT_FALSE(it.Valid());
 }
 
@@ -326,6 +454,113 @@ TEST_F(SstableTest, GetReadsBlocksLargerThanTheStackBuffer) {
     ASSERT_TRUE(rec.ok()) << missing;
     EXPECT_FALSE(rec->has_value()) << missing;
   }
+}
+
+// FNV-1a over every file on `disk`, in name order: its name, its size and
+// its bytes, folded into `hash`.
+uint64_t HashDisk(const SimDisk& disk, uint64_t hash) {
+  const auto mix = [&hash](const void* data, size_t n) {
+    const auto* p = static_cast<const uint8_t*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      hash = (hash ^ p[i]) * 0x100000001b3ULL;
+    }
+  };
+  for (const std::string& name : disk.ListFiles()) {
+    auto id = disk.Open(name);
+    EXPECT_TRUE(id.ok()) << name;
+    const uint64_t size = disk.SizeOf(*id);
+    std::vector<uint8_t> bytes(size);
+    EXPECT_TRUE(disk.ReadAt(*id, 0, std::span<uint8_t>(bytes)).ok()) << name;
+    mix(name.data(), name.size());
+    mix(&size, sizeof(size));
+    mix(bytes.data(), bytes.size());
+  }
+  return hash;
+}
+
+// A value of `len` bytes whose content depends on `seed` and on position.
+std::string PatternValue(size_t len, uint64_t seed) {
+  std::string value(len, '\0');
+  for (size_t i = 0; i < len; ++i) {
+    value[i] = static_cast<char>('a' + (seed * 7 + i * 13) % 26);
+  }
+  return value;
+}
+
+// Pins the bytes flushes, compactions and the builder write: every file on
+// the device is hashed at checkpoints of a fixed Put/Delete sequence (so
+// compaction inputs are hashed before they are deleted), and after a set of
+// builders covering a record larger than a block, tombstones, no size hint
+// and a hint the output overshoots. The expected hash was taken from the
+// staging-buffer builder this one replaced.
+TEST_F(SstableTest, FlushAndCompactionWriteGoldenBytes) {
+  Lane lane = MakeLane();
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  {
+    DbOptions options;
+    options.memtable_bytes = 16 * 1024;
+    options.target_file_bytes = 24 * 1024;
+    options.level_base_bytes = 96 * 1024;
+    LsmDb db(pc_.get(), cg_, "golden", options);
+    Rng rng(2024);
+    for (int step = 0; step < 3000; ++step) {
+      char key[16];
+      std::snprintf(key, sizeof(key), "k%05llu",
+                    static_cast<unsigned long long>(rng.NextU64Below(600)));
+      if (rng.NextU64Below(5) == 0) {
+        ASSERT_TRUE(db.Delete(lane, key).ok());
+      } else {
+        // 100 B to 2.5 KiB, and now and then a record larger than a block.
+        const size_t len =
+            step % 397 == 0 ? 10000 : 100 + rng.NextU64Below(2461);
+        ASSERT_TRUE(db.Put(lane, key, PatternValue(len, step)).ok());
+      }
+      if (step % 250 == 249) {
+        hash = HashDisk(disk_, hash);
+      }
+    }
+    ASSERT_TRUE(db.Flush(lane).ok());
+    EXPECT_GT(db.compactions_run(), 20u);
+    hash = HashDisk(disk_, hash);
+  }
+  {
+    // No size hint: small records, tombstones and one oversized record.
+    SSTableBuilder builder(pc_.get(), cg_, "/golden_nohint");
+    for (int i = 0; i < 300; ++i) {
+      char key[16];
+      std::snprintf(key, sizeof(key), "n%06d", i);
+      const bool tombstone = i % 7 == 3;
+      const size_t len = i == 150 ? 10000 : static_cast<size_t>(i % 50) * 9;
+      ASSERT_TRUE(
+          builder.Add(key, tombstone ? "" : PatternValue(len, i), tombstone)
+              .ok());
+    }
+    ASSERT_TRUE(builder.Finish(lane).ok());
+  }
+  {
+    // A hint far below the output: the buffer grows past its reservation.
+    SSTableBuilder builder(pc_.get(), cg_, "/golden_overshoot",
+                           /*expected_bytes=*/4096);
+    for (int i = 0; i < 200; ++i) {
+      char key[16];
+      std::snprintf(key, sizeof(key), "o%06d", i);
+      ASSERT_TRUE(builder.Add(key, PatternValue(300 + i, i), false).ok());
+    }
+    ASSERT_TRUE(builder.Finish(lane).ok());
+  }
+  {
+    // A record larger than a block as the first and the last record, under
+    // a hint that fits.
+    SSTableBuilder builder(pc_.get(), cg_, "/golden_hint",
+                           /*expected_bytes=*/64 * 1024);
+    ASSERT_TRUE(builder.Add("h0", PatternValue(9000, 1), false).ok());
+    ASSERT_TRUE(builder.Add("h1", "", true).ok());
+    ASSERT_TRUE(builder.Add("h2", PatternValue(5, 2), false).ok());
+    ASSERT_TRUE(builder.Add("h3", PatternValue(12000, 3), false).ok());
+    ASSERT_TRUE(builder.Finish(lane).ok());
+  }
+  hash = HashDisk(disk_, hash);
+  EXPECT_EQ(hash, 0x22679689df4a4e06ULL);
 }
 
 // --- LsmDb ----------------------------------------------------------------
@@ -500,6 +735,113 @@ TEST_F(LsmDbTest, BulkLoadRejectsUnsortedKeys) {
                                return true;
                              })
                    .ok());
+}
+
+// A device-read error while compaction reads its inputs must fail the
+// compaction, not merge without the table it could not read and then delete
+// it. One read fault is armed halfway through a load of distinct keys and
+// fires on the 4th, 8th, ... 32nd disk read after that; a Put may fail, but
+// every key must read back once the fault is gone.
+TEST_F(LsmDbTest, CompactionReadFaultLosesNoData) {
+  const auto value_of = [](int i) {
+    return "value" + std::to_string(i) + std::string(400, 'x');
+  };
+  for (uint64_t nth = 4; nth <= 32; nth += 4) {
+    SCOPED_TRACE("fault on disk read " + std::to_string(nth));
+    SimDisk disk;
+    SsdModel ssd;
+    PageCache pc(&disk, &ssd, PageCacheOptions{});
+    MemCgroup* cg = pc.CreateCgroup("/fault", 2048 * kPageSize);
+    DbOptions options;
+    options.memtable_bytes = 64 * 1024;
+    LsmDb db(&pc, cg, "faultdb", options);
+    Lane lane(0, TaskContext{1, 1}, 1);
+    uint64_t fires = 0;
+    {
+      std::optional<fault::ScopedFault> fault;
+      for (int i = 0; i < 3000; ++i) {
+        if (i == 1500) {
+          fault.emplace(fault::points::kDiskRead,
+                        fault::FaultSchedule{.on_nth = nth, .max_fires = 1});
+        }
+        (void)db.Put(lane, Key(i), value_of(i));
+      }
+      fires = fault::FaultInjector::Global().fires(fault::points::kDiskRead);
+    }
+    EXPECT_EQ(fires, 1u);
+    EXPECT_GT(db.compactions_run(), 0u);
+    int lost = 0;
+    for (int i = 0; i < 3000; ++i) {
+      auto v = db.Get(lane, Key(i));
+      lost += !v.ok() || *v != value_of(i);
+    }
+    EXPECT_EQ(lost, 0);
+  }
+}
+
+// Scan must not return a partial result when one of its tables cannot be
+// read.
+TEST_F(LsmDbTest, ScanReportsSourceReadError) {
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(db_->Put(*lane_, Key(i), std::string(100, 'v')).ok());
+  }
+  ASSERT_TRUE(db_->Flush(*lane_).ok());
+  ASSERT_TRUE(db_->Put(*lane_, Key(1000), "in the memtable").ok());
+  ASSERT_TRUE(db_->Scan(*lane_, Key(0), 10).ok());  // opens every table
+  // Drop the tables' pages so the next scan reads the device.
+  for (const std::string& name : disk_.ListFiles()) {
+    auto as = pc_->OpenFile(name);
+    ASSERT_TRUE(as.ok());
+    ASSERT_TRUE(pc_->FadviseRange(*lane_, *as, cg_, Fadvise::kDontNeed, 0, 0)
+                    .ok());
+  }
+  fault::ScopedFault fault(fault::points::kDiskRead,
+                           fault::FaultSchedule{.on_nth = 1, .max_fires = 1});
+  auto records = db_->Scan(*lane_, Key(0), 10);
+  EXPECT_EQ(fault::FaultInjector::Global().fires(fault::points::kDiskRead), 1u);
+  EXPECT_FALSE(records.ok());
+}
+
+// Two L0 tables hold the same keys with the same record sizes, so key 159
+// is the last record of the first segment (kSegmentBlocks blocks of ten
+// 413-byte records) in both. When the merge emits it from the newer table,
+// popping it reloads that table's next, larger segment under the emitted
+// key's view; the older table's copy must still be recognised and dropped.
+TEST_F(LsmDbTest, MergeOfKeyAtSegmentBoundary) {
+  SimDisk disk;
+  SsdModel ssd;
+  PageCache pc(&disk, &ssd, PageCacheOptions{});
+  MemCgroup* cg = pc.CreateCgroup("/boundary", 2048 * kPageSize);
+  DbOptions options;
+  options.memtable_bytes = 1 << 20;  // flushed by hand
+  options.l0_compaction_trigger = 2;
+  LsmDb db(&pc, cg, "boundarydb", options);
+  Lane lane(0, TaskContext{1, 1}, 1);
+  static_assert(SSTableReader::Iterator::kSegmentBlocks == 16);
+
+  std::map<std::string, std::string> reference;
+  for (int version = 0; version < 2; ++version) {
+    for (int i = 0; i < 320; ++i) {
+      // Keys 0..159 fill the first segment exactly; the rest are larger.
+      const size_t len = i < 160 ? 400 : 3000;
+      const std::string value = PatternValue(len, version * 1000 + i);
+      ASSERT_TRUE(db.Put(lane, Key(i), value).ok());
+      reference[Key(i)] = value;
+    }
+    ASSERT_TRUE(db.Flush(lane).ok());
+  }
+  EXPECT_EQ(db.compactions_run(), 1u);
+  EXPECT_EQ(db.NumFilesAtLevel(0), 0);
+
+  auto records = db.Scan(lane, "", 1000);
+  ASSERT_TRUE(records.ok());
+  ASSERT_EQ(records->size(), reference.size());
+  auto ref_it = reference.begin();
+  for (const auto& rec : *records) {
+    EXPECT_EQ(rec.key, ref_it->first);
+    EXPECT_EQ(rec.value, ref_it->second) << rec.key;
+    ++ref_it;
+  }
 }
 
 // Property test: random ops vs std::map, across flush/compaction cycles.
