@@ -273,7 +273,10 @@ BENCHMARK(BM_HistogramRecord);
 
 // --- end-to-end cached read path -------------------------------------------------
 
-void CachedReadPath(benchmark::State& state, bool with_noop) {
+// Random 4 KiB hits on 2048 resident pages. The file is sparse (Truncate)
+// unless `written`, when every page holds bytes on the device.
+void CachedReadPath(benchmark::State& state, bool with_noop,
+                    bool written = false) {
   harness::Env env;
   MemCgroup* cg = env.CreateCgroup("/micro", 4096 * kPageSize);
   if (with_noop) {
@@ -283,6 +286,13 @@ void CachedReadPath(benchmark::State& state, bool with_noop) {
   auto as = env.cache().OpenFile("/micro_file");
   CHECK(as.ok());
   CHECK(env.disk().Truncate((*as)->file(), 2048 * kPageSize).ok());
+  if (written) {
+    std::vector<uint8_t> bytes(2048 * kPageSize);
+    for (size_t i = 0; i < bytes.size(); ++i) {
+      bytes[i] = static_cast<uint8_t>(i * 131 + 7);
+    }
+    CHECK(env.disk().WriteAt((*as)->file(), 0, bytes).ok());
+  }
   Lane lane(0, TaskContext{1, 1}, 3);
   std::vector<uint8_t> buf(kPageSize);
   // Populate.
@@ -309,6 +319,11 @@ void BM_CachedReadNoopPolicy(benchmark::State& state) {
   CachedReadPath(state, true);
 }
 BENCHMARK(BM_CachedReadNoopPolicy);
+
+void BM_CachedReadWrittenPages(benchmark::State& state) {
+  CachedReadPath(state, false, /*written=*/true);
+}
+BENCHMARK(BM_CachedReadWrittenPages);
 
 // --- LSM write side (kv_update_zipf's flushes and compactions) ---------------
 

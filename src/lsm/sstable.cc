@@ -1,6 +1,7 @@
 #include "src/lsm/sstable.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/lsm/format.h"
 #include "src/util/logging.h"
@@ -74,12 +75,15 @@ Expected<uint64_t> SSTableBuilder::Finish(Lane& lane) {
 
   auto as = pc_->OpenFile(file_name_);
   CACHE_EXT_RETURN_IF_ERROR(as.status());
-  CACHE_EXT_RETURN_IF_ERROR(pc_->Write(
-      lane, *as, cg_, 0,
-      std::span<const uint8_t>(
-          reinterpret_cast<const uint8_t*>(buffer_.data()), buffer_.size())));
+  // The finished table is handed to the device as its backing run: no byte
+  // is copied, and the builder keeps none.
+  const uint64_t size = buffer_.size();
+  const Status written =
+      pc_->Write(lane, *as, cg_, 0, std::exchange(buffer_, std::string()));
+  index_ = std::string();
+  CACHE_EXT_RETURN_IF_ERROR(written);
   CACHE_EXT_RETURN_IF_ERROR(pc_->SyncFile(lane, *as));
-  return static_cast<uint64_t>(buffer_.size());
+  return size;
 }
 
 Expected<std::unique_ptr<SSTableReader>> SSTableReader::Open(

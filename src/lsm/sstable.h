@@ -54,8 +54,9 @@ class SSTableBuilder {
   // Keys must be added in strictly increasing order.
   Status Add(std::string_view key, std::string_view value, bool tombstone);
 
-  // Writes the table through the page cache and fsyncs it. Returns the file
-  // size in bytes.
+  // Writes the table through the page cache and fsyncs it. The buffer is
+  // handed to the device as the table's backing bytes, without a copy, and
+  // the builder holds no bytes afterwards. Returns the file size in bytes.
   Expected<uint64_t> Finish(Lane& lane);
 
   // Data bytes added so far, the open block included.

@@ -17,6 +17,7 @@
 #include <cstdint>
 
 #include "src/mm/folio_storage.h"
+#include "src/sim/disk_run.h"
 #include "src/util/intrusive_list.h"
 
 namespace cache_ext {
@@ -26,6 +27,7 @@ class MemCgroup;
 struct ExtListNode;
 
 inline constexpr uint64_t kPageSize = 4096;
+static_assert(kPageSize == kDiskPageSize);
 
 enum FolioFlag : uint32_t {
   kFolioReferenced = 1u << 0,  // accessed since last scan
@@ -87,7 +89,46 @@ struct Folio {
   std::atomic<uint64_t> ext_registry_id{0};
   std::atomic<ExtListNode*> ext_registry_node{nullptr};
 
-  ~Folio() { FolioStorageDirectory::Instance().OnFolioFree(this); }
+  // Where the folio's bytes live: one reference per page of the span into
+  // the immutable runs SimDisk maps those pages to (src/sim/disk_run.h), so
+  // a clean folio shares its device pages and a miss copies nothing. Order
+  // 0 keeps its reference inline in page0; an order-k folio points `pages`
+  // at an array of 2^k (InitPageRefs). The page cache takes them under the
+  // mapping stripe before it publishes the folio, and a write-through
+  // re-points them under the stripe, retiring each old reference through
+  // EBR because a lockless reader may still be copying from it; so readers
+  // load them inside an ebr::Guard. The folio's free drops them. `order`
+  // says which member is live; sharing one slot keeps the folio in its old
+  // allocation size class.
+  union {
+    std::atomic<const DiskRun*> page0{nullptr};
+    std::atomic<const DiskRun*>* pages;
+  };
+
+  // Sizes the page references for `order`, which must be set first.
+  void InitPageRefs() {
+    if (order > 0) {
+      pages = new std::atomic<const DiskRun*>[nr_pages()]();
+    }
+  }
+  // The reference of page `page_index` (inside the span).
+  std::atomic<const DiskRun*>& PageRef(uint64_t page_index) {
+    return order == 0 ? page0 : pages[page_index - index];
+  }
+
+  ~Folio() {
+    FolioStorageDirectory::Instance().OnFolioFree(this);
+    // Freed after its grace period (or by a quiescent cache): no reader can
+    // still be copying from these pages.
+    if (order == 0) {
+      DiskRun::Unref(page0.load(std::memory_order_relaxed));
+    } else if (pages != nullptr) {
+      for (uint64_t i = 0; i < nr_pages(); ++i) {
+        DiskRun::Unref(pages[i].load(std::memory_order_relaxed));
+      }
+      delete[] pages;
+    }
+  }
 
   bool TestFlag(FolioFlag f) const {
     return (flags.load(std::memory_order_relaxed) & f) != 0;

@@ -1,8 +1,10 @@
 #include "src/pagecache/page_cache.h"
 
 #include <algorithm>
+#include <optional>
 #include <thread>
 
+#include "src/fault/fault_injector.h"
 #include "src/pagecache/current_task.h"
 #include "src/pagecache/default_lru.h"
 #include "src/pagecache/mglru.h"
@@ -24,6 +26,62 @@ std::unique_ptr<ReclaimPolicy> MakeBasePolicy(BasePolicyKind kind,
   }
   return nullptr;
 }
+
+// Copies a read's bytes out of device runs. Pages of one run that follow
+// each other in the read are merged into one memcpy (a block across a page
+// boundary), and nothing is copied before Flush, so a run of hits copies
+// once at its end: a copy made after each lookup would make the next hit's
+// pin and counter updates wait for its stores. Every run added must stay
+// alive until Flush: the caller holds an ebr::Guard (a write may re-point a
+// folio's page and retire its old run), the mapping stripe, or a reference.
+class ReadCopier {
+ public:
+  ReadCopier(uint64_t offset, std::span<uint8_t> out)
+      : offset_(offset), out_(out) {}
+
+  // The part of page `page` that the read covers, from `run` (null reads
+  // as zeroes).
+  void Add(const DiskRun* run, uint64_t page) {
+    const uint64_t page_start = page * kPageSize;
+    const uint64_t lo = std::max(page_start, offset_);
+    const uint64_t hi =
+        std::min(page_start + kPageSize, offset_ + out_.size());
+    if (lo >= hi) {
+      return;
+    }
+    if (len_ > 0 && run == run_ && lo == offset_ + dst_ + len_) {
+      len_ += hi - lo;  // the next page of the same run
+      return;
+    }
+    Flush();
+    run_ = run;
+    page_ = page;
+    in_page_ = lo - page_start;
+    dst_ = lo - offset_;
+    len_ = hi - lo;
+  }
+  void AddFolio(Folio& folio, uint64_t from, uint64_t to) {
+    for (uint64_t page = from; page < to; ++page) {
+      Add(folio.PageRef(page).load(std::memory_order_acquire), page);
+    }
+  }
+  void Flush() {
+    if (len_ > 0) {
+      DiskRun::CopyOut(run_, page_, in_page_, out_.subspan(dst_, len_));
+      len_ = 0;
+    }
+  }
+
+ private:
+  const uint64_t offset_;
+  const std::span<uint8_t> out_;
+  // The pending copy: len_ bytes from page_ + in_page_ of run_, to dst_.
+  const DiskRun* run_ = nullptr;
+  uint64_t page_ = 0;
+  uint64_t in_page_ = 0;
+  uint64_t dst_ = 0;
+  uint64_t len_ = 0;
+};
 
 }  // namespace
 
@@ -351,9 +409,9 @@ void PageCache::DispatchRemoved(Lane& lane, CgroupState& st, Folio* folio) {
 Folio* PageCache::LocklessLookup(AddressSpace* as, uint64_t index,
                                  CgroupState& reader) {
   reader.stats.ext_lockless_lookups.fetch_add(1, std::memory_order_relaxed);
-  // rcu_read_lock: everything reachable through the xarray stays allocated
-  // until the guard drops, even if a racing remover unmaps and retires it.
-  ebr::Guard guard;
+  // Under the caller's rcu_read_lock: everything reachable through the
+  // xarray stays allocated until its guard drops, even if a racing remover
+  // unmaps and retires it.
   constexpr int kMaxAttempts = 4;
   for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     Folio* folio = as->pages().Load(index).AsPointer<Folio>();
@@ -437,6 +495,7 @@ Folio* PageCache::InsertFolio(Lane& lane, AddressSpace* as, CgroupState& st,
   // while-we-missed case is common under readahead); the second probe
   // below, under the stripe, is authoritative either way.
   if (options_.lockless_reads) {
+    ebr::Guard guard;
     if (Folio* existing = LocklessLookup(as, index, st); existing != nullptr) {
       *already_present = true;
       return existing;
@@ -511,6 +570,9 @@ Folio* PageCache::InsertFolio(Lane& lane, AddressSpace* as, CgroupState& st,
     folio->index = index;
     folio->order = static_cast<uint8_t>(order);
     folio->memcg = cg;
+    folio->InitPageRefs();
+    // The miss copies nothing: the folio shares the device's pages.
+    RefDevicePages(as, *folio, index, index + nr);
     folio->SetFlag(kFolioUptodate);
     if (refault.activate) {
       folio->SetFlag(kFolioWorkingset);
@@ -680,9 +742,9 @@ void PageCache::InvalidateForDontNeed(Lane& lane, CgroupState& st,
   }
   // Partial invalidate of a multi-order folio: the kernel splits the large
   // folio and truncates only the pages in range (truncate_inode_partial_folio).
-  // Here the removal already dropped the whole span (SimDisk holds canonical
-  // bytes), so the split is a re-insert of the kept subpages as order-0
-  // folios.
+  // Here the removal already dropped the whole span, so the split is a
+  // re-insert of the kept subpages as order-0 folios, each taking a fresh
+  // reference to its device page (the device holds every page's bytes).
   if (nr == 1 || !partial) {
     return;  // fully covered: a plain invalidate, nothing kept
   }
@@ -719,6 +781,7 @@ void PageCache::InvalidateForDontNeed(Lane& lane, CgroupState& st,
       nf->mapping = as;
       nf->index = i;
       nf->memcg = cg;
+      RefDevicePages(as, *nf, i, i + 1);
       nf->SetFlag(kFolioUptodate);
       if (was_dirty) {
         nf->SetFlag(kFolioDirty);  // both split halves stay dirty
@@ -1155,9 +1218,10 @@ void PageCache::FlushTick(CgroupState& st, DispatchBatch* batch,
     i = j + 1;
   }
   for (size_t k = reverted_from; k < items.size(); ++k) {
-    // Un-submitted items revert to dirty (contents are safe — SimDisk is
-    // write-through; only durability timing was pending). NoteDirtied also
-    // requeues the file, so the next tick retries the lost work.
+    // Un-submitted items revert to dirty. No byte is lost: writes publish
+    // their bytes to the device before they dirty a folio, so only the
+    // device time was pending. NoteDirtied also requeues the file, so the
+    // next tick retries the lost work.
     items[k].folio->SetFlag(kFolioDirty);
     items[k].folio->ClearFlag(kFolioWriteback);
     fc.NoteDirtied(items[k].mapping, items[k].nr_pages);
@@ -1308,6 +1372,11 @@ uint32_t PageCache::ReadaheadWindow(Lane& lane, CgroupState& st,
 void PageCache::Prefetch(Lane& lane, AddressSpace* as, CgroupState& st,
                          uint64_t first_index, uint32_t nr_pages,
                          DispatchBatch& batch) {
+  // A failed readahead read is dropped before it inserts anything, as the
+  // kernel drops readahead errors: the reader misses on those pages later.
+  if (fault::InjectFault(fault::points::kDiskRead)) {
+    return;
+  }
   uint64_t run_bytes = 0;
   const uint64_t end = first_index + nr_pages;
   uint64_t index = first_index;
@@ -1362,6 +1431,10 @@ Status PageCache::Read(Lane& lane, AddressSpace* as, MemCgroup* cg,
   DispatchBatch batch;
   std::vector<Folio*> run_pins;
   Stripe& stripe = StripeFor(as);
+  ReadCopier copier(offset, out);
+  // One guard covers a run of lockless hits: the pages they add to
+  // `copier` stay alive until its Flush at the run's end.
+  std::optional<ebr::Guard> hit_guard;
 
   uint64_t index = first;
   while (index <= last) {
@@ -1370,12 +1443,23 @@ Status PageCache::Read(Lane& lane, AddressSpace* as, MemCgroup* cg,
     // stripe is never required for a hit. Ablation (lockless_reads=false):
     // the whole hit service runs under the stripe, whose virtual-time
     // frontier serializes hits across lanes the way a contended xa_lock
-    // serializes real CPUs.
+    // serializes real CPUs. Either way the hit copies out of the folio's
+    // pages while the guard (or the stripe) still excludes a free of a page
+    // a write re-points, and never touches the device.
     Folio* hit = nullptr;
+    uint64_t next = 0;
     if (options_.lockless_reads) {
+      if (!hit_guard.has_value()) {
+        hit_guard.emplace();
+      }
       hit = LocklessLookup(as, index, *st);
       if (hit != nullptr) {
         lane.Charge(options_.costs.hit_ns);
+        next = std::min(last + 1, hit->index + hit->nr_pages());
+        copier.AddFolio(*hit, index, next);
+      } else {
+        copier.Flush();
+        hit_guard.reset();
       }
     } else {
       MutexLock s(stripe.mu);
@@ -1385,6 +1469,9 @@ Status PageCache::Read(Lane& lane, AddressSpace* as, MemCgroup* cg,
         hit->Pin();  // guard across the stripe release, until the ring pins
         lane.Charge(options_.costs.hit_ns);
         stripe.frontier_ns = lane.now_ns();
+        next = std::min(last + 1, hit->index + hit->nr_pages());
+        copier.AddFolio(*hit, index, next);
+        copier.Flush();
       }
     }
     if (hit != nullptr) {
@@ -1399,8 +1486,6 @@ Status PageCache::Read(Lane& lane, AddressSpace* as, MemCgroup* cg,
       CHECK_NOTNULL(owner);
       hit->memcg->stat_hits.fetch_add(1, std::memory_order_relaxed);
       Append(lane, batch, owner, hit, HookEvent::kAccessed, nullptr);
-      const uint64_t next =
-          std::min(last + 1, hit->index + hit->nr_pages());
       hit->Unpin();
       as->ra_prev_index.store(next - 1, std::memory_order_relaxed);
       index = std::max(index + 1, next);
@@ -1414,6 +1499,12 @@ Status PageCache::Read(Lane& lane, AddressSpace* as, MemCgroup* cg,
       while (run_end + 1 <= last && as->FindFolio(run_end + 1) == nullptr) {
         ++run_end;
       }
+    }
+    // The run's device read fails before it inserts anything: no folio,
+    // charge or registry entry is left behind.
+    if (fault::InjectFault(fault::points::kDiskRead)) {
+      Drain(lane, batch);
+      return IoError("injected disk read error (media failure)");
     }
 
     // Flush buffered events before taking our cgroup lock: while it is
@@ -1449,6 +1540,12 @@ Status PageCache::Read(Lane& lane, AddressSpace* as, MemCgroup* cg,
         }
         cg->stat_misses.fetch_add(1, std::memory_order_relaxed);
         if (inserted == nullptr) {
+          // Admission denied: the page is read from the device uncached.
+          const DiskRun* run = nullptr;
+          disk_->RefPages(as->file(), next_index, std::span(&run, 1));
+          copier.Add(run, next_index);
+          copier.Flush();
+          DiskRun::Unref(run);
           ++next_index;
           st->stats.direct_reads.fetch_add(1, std::memory_order_relaxed);
           continue;
@@ -1456,6 +1553,12 @@ Status PageCache::Read(Lane& lane, AddressSpace* as, MemCgroup* cg,
         // The inserted folio may span past next_index (multi-order); the
         // whole span is populated by this run's device read.
         next_index = inserted->index + inserted->nr_pages();
+        {
+          ebr::Guard guard;
+          copier.AddFolio(*inserted, inserted->index,
+                          std::min(last + 1, next_index));
+          copier.Flush();
+        }
         cached_pages += inserted->nr_pages();
         run_pins.push_back(inserted);  // carries the InsertFolio pin
         Append(lane, batch, st, inserted, HookEvent::kAccessed, st);
@@ -1506,15 +1609,48 @@ Status PageCache::Read(Lane& lane, AddressSpace* as, MemCgroup* cg,
     }
   }
 
+  copier.Flush();
+  hit_guard.reset();
   Drain(lane, batch);
-  // Copy the data out. SimDisk holds canonical bytes (dirty pages write
-  // through for *contents*; only the device *timing* is deferred to
-  // writeback), so a single disk read covers hits and misses alike.
-  return disk_->ReadAt(as->file(), offset, out);
+  return OkStatus();
+}
+
+void PageCache::RefDevicePages(AddressSpace* as, Folio& folio, uint64_t from,
+                               uint64_t to) {
+  std::array<const DiskRun*, 1u << kMaxFolioOrder> runs;
+  while (from < to) {
+    const size_t n = std::min<uint64_t>(to - from, runs.size());
+    disk_->RefPages(as->file(), from, std::span(runs.data(), n));
+    for (size_t i = 0; i < n; ++i) {
+      const DiskRun* old =
+          folio.PageRef(from + i).exchange(runs[i], std::memory_order_acq_rel);
+      if (old == runs[i]) {
+        DiskRun::Unref(old);  // unchanged: the page keeps one reference
+      } else if (old != nullptr) {
+        ebr::Retire(const_cast<DiskRun*>(old), &DiskRun::UnrefErased);
+      }
+    }
+    from += n;
+  }
 }
 
 Status PageCache::Write(Lane& lane, AddressSpace* as, MemCgroup* cg,
                         uint64_t offset, std::span<const uint8_t> data) {
+  return WriteThrough(lane, as, cg, offset, data, nullptr);
+}
+
+Status PageCache::Write(Lane& lane, AddressSpace* as, MemCgroup* cg,
+                        uint64_t offset, std::string&& bytes) {
+  return WriteThrough(
+      lane, as, cg, offset,
+      std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(bytes.data()),
+                               bytes.size()),
+      &bytes);
+}
+
+Status PageCache::WriteThrough(Lane& lane, AddressSpace* as, MemCgroup* cg,
+                               uint64_t offset, std::span<const uint8_t> data,
+                               std::string* gift) {
   if (as == nullptr || cg == nullptr) {
     return InvalidArgument("null mapping or cgroup");
   }
@@ -1531,12 +1667,14 @@ Status PageCache::Write(Lane& lane, AddressSpace* as, MemCgroup* cg,
   ScopedCurrentTask current(lane.task());
   lane.Charge(options_.costs.per_op_syscall_ns);
 
-  // Contents become canonical immediately; device write timing is charged
-  // when the dirty folio is written back.
-  CACHE_EXT_RETURN_IF_ERROR(disk_->WriteAt(as->file(), offset, data));
-
+  // Write-through for contents: the bytes reach the device now, and the
+  // cached pages are re-pointed at the device's pages below; device write
+  // timing is charged when the dirty folio is written back.
   const uint64_t first = offset / kPageSize;
   const uint64_t last = (offset + data.size() - 1) / kPageSize;
+  CACHE_EXT_RETURN_IF_ERROR(
+      gift != nullptr ? disk_->WriteAt(as->file(), offset, std::move(*gift))
+                      : disk_->WriteAt(as->file(), offset, data));
   DispatchBatch batch;
   Stripe& stripe = StripeFor(as);
 
@@ -1548,6 +1686,13 @@ Status PageCache::Write(Lane& lane, AddressSpace* as, MemCgroup* cg,
       hit = as->FindFolio(index);
       if (hit != nullptr) {
         hit->Pin();
+        // The device's current pages, not the run this write published: a
+        // racing writer may have published after it, and every cached copy
+        // must converge on the device's state. (A folio reaching below
+        // `index` starts before the write, so its pages from `index` on are
+        // the ones the write covers.)
+        RefDevicePages(as, *hit, index,
+                       std::min(last + 1, hit->index + hit->nr_pages()));
       }
     }
     if (hit != nullptr) {

@@ -196,11 +196,21 @@ class PageCache {
   // kernel equivalent: an open fd holds the inode alive).
 
   // pread()-style read through the cache; out.size() bytes from `offset`.
+  // Bytes are copied out of the folios' pages, which share the device's;
+  // a hit never touches the device. Fails with IoError when a miss run's
+  // device read fails (the `sim.disk.read` fault point), leaving nothing
+  // inserted.
   Status Read(Lane& lane, AddressSpace* as, MemCgroup* cg, uint64_t offset,
               std::span<uint8_t> out);
-  // pwrite()-style write through the cache (write-back).
+  // pwrite()-style write through the cache (write-back). The bytes are
+  // published to the device first (one copy); cached pages in the range
+  // are then re-pointed at the device's pages.
   Status Write(Lane& lane, AddressSpace* as, MemCgroup* cg, uint64_t offset,
                std::span<const uint8_t> data);
+  // The same write, handing `bytes` to the device without a copy when
+  // `offset` is page aligned (SimDisk::WriteAt's gift).
+  Status Write(Lane& lane, AddressSpace* as, MemCgroup* cg, uint64_t offset,
+               std::string&& bytes);
   // Flush all dirty folios of the file; lane waits for completion (fsync).
   Status SyncFile(Lane& lane, AddressSpace* as);
   Status FadviseRange(Lane& lane, AddressSpace* as, MemCgroup* cg,
@@ -360,6 +370,19 @@ class PageCache {
                        uint64_t index, bool is_write, uint32_t nr_wanted)
       CACHE_EXT_REQUIRES(st.mu);
 
+  // Points pages [from, to) of `folio`, a folio of `as`, at the device's
+  // current runs for them, taking a reference each. The caller holds the
+  // mapping stripe. A replaced reference is retired through EBR, since a
+  // lockless reader may still be copying from it.
+  void RefDevicePages(AddressSpace* as, Folio& folio, uint64_t from,
+                      uint64_t to);
+
+  // Both Writes: publish to the device (adopting `*gift` when non-null),
+  // then run the write-back cache over the range.
+  Status WriteThrough(Lane& lane, AddressSpace* as, MemCgroup* cg,
+                      uint64_t offset, std::span<const uint8_t> data,
+                      std::string* gift);
+
   // Writeback (if dirty) and remove the folio at (as, index), which must be
   // owned by st's cgroup. kEvict stores a shadow entry; kInvalidate does
   // not. Re-checks under the stripe that the index still maps `expected`
@@ -477,11 +500,11 @@ class PageCache {
                       bool* violation) CACHE_EXT_REQUIRES(st.mu);
 
   // The lockless hit lookup (filemap_get_folio fast path): walks the
-  // xarray under an ebr::Guard, TryPins the folio, then revalidates
-  // mapping/index and reloads the slot (folio_try_get + the re-check in
-  // filemap_get_entry). Returns the folio PINNED, or nullptr on a miss /
-  // shadow entry / lost race — the caller falls back to the locked slow
-  // path, which is authoritative. Bumps `reader`'s lockless counters.
+  // xarray under the caller's ebr::Guard, TryPins the folio, then
+  // revalidates mapping/index and reloads the slot (folio_try_get + the
+  // re-check in filemap_get_entry). Returns the folio PINNED, or nullptr on
+  // a miss / shadow entry / lost race — the caller falls back to the locked
+  // slow path, which is authoritative. Bumps `reader`'s lockless counters.
   Folio* LocklessLookup(AddressSpace* as, uint64_t index,
                         CgroupState& reader);
 

@@ -260,7 +260,11 @@ Guard::~Guard() {
   if (--ts.depth > 0) {
     return;
   }
-  ts.slot->state.store(0, std::memory_order_seq_cst);
+  // Release is all the exit needs: the advancer's scan load (seq_cst, so
+  // acquire) that sees the slot inactive orders every access of the section
+  // before its frees. A seq_cst store would be a full fence here, draining
+  // the stores a page-cache read just made copying out of its folios.
+  ts.slot->state.store(0, std::memory_order_release);
 }
 
 void Retire(void* object, void (*deleter)(void*)) {

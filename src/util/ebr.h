@@ -18,14 +18,16 @@
 // immediately, matching the eager-delete semantics the page cache had
 // before EBR.
 //
-// Memory ordering: every epoch/slot access is seq_cst. The textbook
-// formulation uses relaxed slot stores plus standalone seq_cst fences, but
-// ThreadSanitizer does not model atomic_thread_fence — the all-seq_cst
-// accesses keep the happens-before edges visible to TSan (reader exit
-// store -> advancer scan load -> deferred free) at a cost that does not
-// matter off the fast path. Guard entry re-checks the epoch after
-// publishing its slot, so an advancer can never miss a reader that entered
-// before the advance scanned its slot.
+// Memory ordering: every epoch/slot access is seq_cst but the reader's exit
+// store, which is release. The textbook formulation uses relaxed slot
+// stores plus standalone seq_cst fences, but ThreadSanitizer does not model
+// atomic_thread_fence — ordered accesses keep the happens-before edges
+// visible to TSan (reader exit store -> advancer scan load -> deferred
+// free). A page-cache read exits right after copying out of its folios,
+// where a seq_cst store would be a full fence; release still orders the
+// section's accesses before the scan that sees the slot inactive. Guard entry
+// re-checks the epoch after publishing its slot, so an advancer can never
+// miss a reader that entered before the advance scanned its slot.
 //
 // The `ebr.stall` fault point (src/fault) injects a *phantom reader* pinned
 // at the current epoch for `magnitude` blocked advance attempts (default

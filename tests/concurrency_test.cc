@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -691,6 +692,89 @@ void IrHookDispatchStorm(bpf::ir::Backend backend) {
   auto size = api.ListSize(1);
   ASSERT_TRUE(size.ok());
   EXPECT_EQ(*size, 0u);
+}
+
+// A write re-points the cached pages it covers at a new device run and
+// retires the old one through EBR, while lockless readers copy out of
+// folios without any lock. Every page a reader returns must come whole from
+// one write: one generation throughout, never part of an old run and part
+// of a new one. Afterwards the cache and the device agree on every page.
+TEST(ConcurrencyTest, LocklessReadersNeverSeeTornPages) {
+  auto rig = MakeMtRig(1, "");
+  AddressSpace* as = rig->files[0];
+  MemCgroup* cg = rig->cgs[0];
+  constexpr uint64_t kHotPages = 16;  // stays resident in the 48-page cgroup
+  constexpr uint32_t kGenerations = 3000;
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> pages_read{0};
+  std::atomic<uint64_t> torn{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      Lane lane(static_cast<uint32_t>(r), TaskContext{400 + r, 400 + r},
+                71 + static_cast<uint64_t>(r));
+      std::vector<uint8_t> buf(2 * kPageSize);  // two pages per read
+      uint64_t state = 0x7e4 + static_cast<uint64_t>(r);
+      while (!stop.load(std::memory_order_relaxed)) {
+        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+        const uint64_t p = (state >> 33) % (kHotPages - 1);
+        ASSERT_TRUE(rig->pc
+                        ->Read(lane, as, cg, p * kPageSize,
+                               std::span<uint8_t>(buf))
+                        .ok());
+        for (size_t half = 0; half < 2; ++half) {
+          const uint8_t* page = buf.data() + half * kPageSize;
+          if (std::memcmp(page, page + 1, kPageSize - 1) != 0) {
+            torn.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+        pages_read.fetch_add(2, std::memory_order_relaxed);
+      }
+    });
+  }
+
+  std::vector<uint8_t> last_gen(kHotPages);
+  for (uint64_t p = 0; p < kHotPages; ++p) {
+    last_gen[p] = PatternByte(0, p);  // each page starts uniform
+  }
+  std::thread writer([&] {
+    Lane lane(9, TaskContext{409, 409}, 79);
+    std::vector<uint8_t> page(kPageSize);
+    while (pages_read.load(std::memory_order_relaxed) < 64) {
+      std::this_thread::yield();  // let the readers get going
+    }
+    for (uint32_t gen = 1; gen <= kGenerations; ++gen) {
+      const uint64_t p = gen % kHotPages;
+      last_gen[p] = static_cast<uint8_t>(gen);
+      std::fill(page.begin(), page.end(), last_gen[p]);
+      ASSERT_TRUE(rig->pc
+                      ->Write(lane, as, cg, p * kPageSize,
+                              std::span<const uint8_t>(page))
+                      .ok());
+    }
+    stop.store(true, std::memory_order_relaxed);
+  });
+  writer.join();
+  for (std::thread& t : readers) {
+    t.join();
+  }
+
+  EXPECT_EQ(torn.load(), 0u);
+  EXPECT_GT(pages_read.load(), 0u);
+  Lane lane(10, TaskContext{410, 410}, 83);
+  std::vector<uint8_t> cached(kPageSize);
+  std::vector<uint8_t> device(kPageSize);
+  for (uint64_t p = 0; p < kHotPages; ++p) {
+    ASSERT_TRUE(rig->pc
+                    ->Read(lane, as, cg, p * kPageSize,
+                           std::span<uint8_t>(cached))
+                    .ok());
+    ASSERT_TRUE(
+        rig->disk.ReadAt(as->file(), p * kPageSize, std::span(device)).ok());
+    EXPECT_EQ(cached, device) << "page " << p;
+    EXPECT_EQ(cached[0], last_gen[p]) << "page " << p;
+  }
 }
 
 TEST(ConcurrencyTest, IrHookDispatchStormInterp) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -399,6 +400,74 @@ TEST_F(FaultStackTest, InjectedListMisuseFeedsFallback) {
   EXPECT_GT(pc_->StatsFor(cg_).fallback_evictions, 0u);
   EXPECT_FALSE(pc_->StatsFor(cg_).oom_killed);
   EXPECT_LE(cg_->charged_pages(), cg_->limit_pages());
+}
+
+// With every device read failing, resident pages are still served: a hit
+// never reaches the device. A read that misses fails with IoError before it
+// inserts anything, WILLNEED's readahead is dropped silently, and once the
+// device heals the same read succeeds.
+TEST_F(FaultStackTest, HitsSurviveADeadDeviceAndMissesFailCleanly) {
+  auto st = std::make_shared<FifoState>();
+  auto attached = loader_->Attach(cg_, WorkingFifoOps("dead_device", st));
+  ASSERT_TRUE(attached.ok());
+  const FolioRegistry& registry = (*attached)->registry();
+  Lane lane = MakeLane();
+  auto as = pc_->OpenFile("/f");
+  ASSERT_TRUE(as.ok());
+  std::vector<uint8_t> data(16 * kPageSize);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(i * 7 + i / kPageSize);
+  }
+  ASSERT_TRUE(disk_.WriteAt((*as)->file(), 0, data).ok());
+  const auto expect_bytes = [&](uint64_t offset,
+                                const std::vector<uint8_t>& got) {
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), data.begin() + offset))
+        << "offset " << offset;
+  };
+  std::vector<uint8_t> page(kPageSize);
+  TouchPages(lane, *as, 0, 8);
+  const uint64_t charged = cg_->charged_pages();
+  const uint64_t resident = (*as)->nr_resident();
+  const uint64_t registered = registry.Size();
+  const uint64_t insertions = cg_->stat_insertions.load();
+
+  {
+    ScopedFault dead(fault::points::kDiskRead, FaultSchedule{.every_kth = 1});
+    for (uint64_t p = 0; p < 8; ++p) {
+      ASSERT_TRUE(pc_->Read(lane, *as, cg_, p * kPageSize, page).ok());
+      expect_bytes(p * kPageSize, page);
+    }
+    std::vector<uint8_t> eight(8 * kPageSize);
+    ASSERT_TRUE(pc_->Read(lane, *as, cg_, 0, eight).ok());
+    expect_bytes(0, eight);
+    EXPECT_EQ(FaultInjector::Global().fires(fault::points::kDiskRead), 0u);
+
+    EXPECT_EQ(pc_->Read(lane, *as, cg_, 12 * kPageSize, page).code(),
+              ErrorCode::kIoError);
+    // A read that starts on a resident page fails where it misses.
+    std::vector<uint8_t> across(2 * kPageSize);
+    EXPECT_EQ(pc_->Read(lane, *as, cg_, 7 * kPageSize, across).code(),
+              ErrorCode::kIoError);
+    EXPECT_TRUE(pc_->FadviseRange(lane, *as, cg_, Fadvise::kWillNeed,
+                                  8 * kPageSize, 8 * kPageSize)
+                    .ok());
+    EXPECT_EQ(disk_.ReadAt((*as)->file(), 0, page).code(),
+              ErrorCode::kIoError);
+    EXPECT_EQ(FaultInjector::Global().fires(fault::points::kDiskRead), 4u);
+    // No folio, charge or registry entry was left behind.
+    for (uint64_t p = 8; p < 16; ++p) {
+      EXPECT_EQ((*as)->FindFolio(p), nullptr) << "page " << p;
+    }
+    EXPECT_EQ(cg_->charged_pages(), charged);
+    EXPECT_EQ((*as)->nr_resident(), resident);
+    EXPECT_EQ(registry.Size(), registered);
+    EXPECT_EQ(cg_->stat_insertions.load(), insertions);
+  }
+
+  ASSERT_TRUE(pc_->Read(lane, *as, cg_, 12 * kPageSize, page).ok());
+  expect_bytes(12 * kPageSize, page);
+  EXPECT_NE((*as)->FindFolio(12), nullptr);
+  EXPECT_EQ(cg_->charged_pages(), charged + 1);
 }
 
 TEST_F(FaultStackTest, InjectedPolicyInitFailureFailsAttachCleanly) {

@@ -193,6 +193,16 @@ class SstableTest : public ::testing::Test {
 
   Lane MakeLane() { return Lane(0, TaskContext{1, 1}, 1); }
 
+  // Drops a file's cached pages, so that readers see a corruption written
+  // to the device underneath the cache.
+  void DropCachedPages(const char* name) {
+    auto as = pc_->OpenFile(name);
+    ASSERT_TRUE(as.ok());
+    Lane lane = MakeLane();
+    ASSERT_TRUE(
+        pc_->FadviseRange(lane, *as, cg_, Fadvise::kDontNeed, 0, 0).ok());
+  }
+
   SimDisk disk_;
   std::unique_ptr<SsdModel> ssd_;
   std::unique_ptr<PageCache> pc_;
@@ -305,6 +315,7 @@ TEST_F(SstableTest, IteratorReportsMalformedRecordAsCorruption) {
   ASSERT_TRUE(id.ok());
   const uint8_t endless[5] = {0xFF, 0xFF, 0xFF, 0xFF, 0xFF};
   ASSERT_TRUE(disk_.WriteAt(*id, 10, std::span<const uint8_t>(endless)).ok());
+  DropCachedPages("/malformed");
 
   auto reader = SSTableReader::Open(pc_.get(), cg_, "/malformed", lane);
   ASSERT_TRUE(reader.ok());
@@ -368,6 +379,11 @@ void EditIndexEntry(SimDisk& disk, PageCache& pc, const char* name, int entry,
                                    encoded.data()),
                                encoded.size()))
                   .ok());
+  // The edit is underneath the cache: drop the file's pages so that the
+  // next Open reads it.
+  Lane lane(0, TaskContext{1, 1}, 1);
+  ASSERT_TRUE(
+      pc.FadviseRange(lane, *as, nullptr, Fadvise::kDontNeed, 0, 0).ok());
 }
 
 TEST_F(SstableTest, OpenRejectsIndexEntryOutsideDataRegion) {
@@ -741,7 +757,10 @@ TEST_F(LsmDbTest, BulkLoadRejectsUnsortedKeys) {
 // compaction, not merge without the table it could not read and then delete
 // it. One read fault is armed halfway through a load of distinct keys and
 // fires on the 4th, 8th, ... 32nd disk read after that; a Put may fail, but
-// every key must read back once the fault is gone.
+// every key must read back once the fault is gone. Cached pages are served
+// without a device read, so from then on the tables' pages are dropped
+// before every Put and compaction reads its inputs from the device; 16 KiB
+// memtables give the second half of the load about 64 such reads.
 TEST_F(LsmDbTest, CompactionReadFaultLosesNoData) {
   const auto value_of = [](int i) {
     return "value" + std::to_string(i) + std::string(400, 'x');
@@ -753,13 +772,24 @@ TEST_F(LsmDbTest, CompactionReadFaultLosesNoData) {
     PageCache pc(&disk, &ssd, PageCacheOptions{});
     MemCgroup* cg = pc.CreateCgroup("/fault", 2048 * kPageSize);
     DbOptions options;
-    options.memtable_bytes = 64 * 1024;
+    options.memtable_bytes = 16 * 1024;
     LsmDb db(&pc, cg, "faultdb", options);
     Lane lane(0, TaskContext{1, 1}, 1);
+    const auto drop_tables = [&] {
+      for (const std::string& name : disk.ListFiles()) {
+        auto as = pc.OpenFile(name);
+        ASSERT_TRUE(as.ok());
+        ASSERT_TRUE(
+            pc.FadviseRange(lane, *as, cg, Fadvise::kDontNeed, 0, 0).ok());
+      }
+    };
     uint64_t fires = 0;
     {
       std::optional<fault::ScopedFault> fault;
       for (int i = 0; i < 3000; ++i) {
+        if (i >= 1500) {
+          drop_tables();
+        }
         if (i == 1500) {
           fault.emplace(fault::points::kDiskRead,
                         fault::FaultSchedule{.on_nth = nth, .max_fires = 1});

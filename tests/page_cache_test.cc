@@ -337,12 +337,49 @@ TEST_F(PageCacheTest, OomKillsWhenNothingReclaimable) {
   folio1->Unpin();
 }
 
+// A gifted write reaches the device without a copy, and the folios the
+// write inserts share the device's run: each byte lives in one place. A
+// later write re-points only the cached page it covers.
+TEST_F(PageCacheTest, GiftedWriteSharesOneBufferWithTheCache) {
+  Lane lane = MakeLane();
+  auto as = pc_->OpenFile("/gift");
+  ASSERT_TRUE(as.ok());
+  std::string bytes(3 * kPageSize, '\0');
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<char>('a' + i % 26);
+  }
+  std::string model = bytes;
+  const char* data = bytes.data();
+  ASSERT_TRUE(pc_->Write(lane, *as, cg_, 0, std::move(bytes)).ok());
+  const auto run_data = [&](uint64_t page) -> const char* {
+    Folio* folio = (*as)->FindFolio(page);
+    EXPECT_NE(folio, nullptr) << "page " << page;
+    if (folio == nullptr) {
+      return nullptr;
+    }
+    const DiskRun* run = folio->PageRef(page).load();
+    return run == nullptr ? nullptr : run->bytes().data();
+  };
+  for (uint64_t page = 0; page < 3; ++page) {
+    EXPECT_EQ(run_data(page), data) << "page " << page;
+  }
+  EXPECT_EQ(ReadString(lane, *as, 0, model.size()), model);
+
+  const std::string patch(100, 'P');
+  WriteString(lane, *as, kPageSize + 10, patch);
+  model.replace(kPageSize + 10, patch.size(), patch);
+  EXPECT_NE(run_data(1), data);
+  EXPECT_EQ(run_data(0), data);
+  EXPECT_EQ(run_data(2), data);
+  EXPECT_EQ(ReadString(lane, *as, 0, model.size()), model);
+}
+
 TEST_F(PageCacheTest, ZeroLengthOpsAreNoops) {
   Lane lane = MakeLane();
   auto as = pc_->OpenFile("/f");
   ASSERT_TRUE(as.ok());
   EXPECT_TRUE(pc_->Read(lane, *as, cg_, 0, {}).ok());
-  EXPECT_TRUE(pc_->Write(lane, *as, cg_, 0, {}).ok());
+  EXPECT_TRUE(pc_->Write(lane, *as, cg_, 0, std::span<const uint8_t>()).ok());
   EXPECT_EQ(lane.now_ns(), 0u);
 }
 
