@@ -5,24 +5,21 @@
 // above residency (no reclaim — every measured op is a hit). K real
 // std::threads (K = 1/2/4/8) issue random single-page reads against the
 // shared mapping, so every hit races every other hit on the SAME mapping
-// stripe — the worst case for a locked hit path and the best case for the
-// lockless one.
+// stripe. Hits run under an ebr::Guard with a speculative TryPin and never
+// touch the stripe.
 //
-// Two arms:
-//   lockless  — the default: hits run under an ebr::Guard with a
-//               speculative TryPin, never touching the stripe.
-//   locked    — the `lockless_reads = false` ablation: each hit takes the
-//               stripe and advances to its virtual-time frontier, modelling
-//               the serialization a contended xa_lock imposes.
-//
-// Reported per point: per-thread hit ns/op (virtual), aggregate virtual
-// throughput (total ops / makespan — the locked arm's frontier caps this
-// at 1/hit_ns regardless of K), wall throughput, and the lockless hit-path
-// counters. Emits bench-smoke points `<arm>_<K>t` (aggregate virtual
-// ns/op) for tools/check.sh --bench-smoke.
+// Reported per K, each column naming its clock: per-thread hit ns/op and
+// aggregate throughput (total ops / makespan) in virtual time, which are
+// deterministic; wall-clock throughput as the median and min–max of 5
+// trials (3 with --quick), running the K values in alternating order
+// between trials; and the lockless hit-path counters. Wall numbers are not
+// gated. Emits bench-smoke points `lockless_<K>t` (aggregate virtual
+// ns/op) for tools/check.sh --bench-smoke; a trial whose virtual numbers
+// differ from the first trial's fails the run.
 //
 // Flags: --quick, --out PATH, --baseline PATH, --threshold F.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -63,15 +60,13 @@ struct Rig {
   uint64_t base_ns = 0;  // virtual time after preload; lanes start here
 };
 
-std::unique_ptr<Rig> MakeRig(bool lockless) {
+std::unique_ptr<Rig> MakeRig() {
   auto rig = std::make_unique<Rig>();
   SsdModelOptions ssd_options;
   ssd_options.read_latency_ns = 1000;
   ssd_options.write_latency_ns = 1000;
   rig->ssd = std::make_unique<SsdModel>(ssd_options);
-  PageCacheOptions options;
-  options.lockless_reads = lockless;
-  rig->pc = std::make_unique<PageCache>(&rig->disk, rig->ssd.get(), options);
+  rig->pc = std::make_unique<PageCache>(&rig->disk, rig->ssd.get());
   // Limit far above residency: the cache never reclaims, so the measured
   // phase is 100% hits.
   rig->cg = rig->pc->CreateCgroup("/bench", 4 * kFilePages * kPageSize);
@@ -105,8 +100,8 @@ std::unique_ptr<Rig> MakeRig(bool lockless) {
   return rig;
 }
 
+// One trial at one K.
 struct Point {
-  std::string arm;
   int threads = 0;
   double hit_ns_per_op = 0;        // per-thread virtual ns per hit op
   double aggregate_ns_per_op = 0;  // makespan / total ops (virtual)
@@ -115,8 +110,8 @@ struct Point {
   CgroupCacheStats stats;
 };
 
-Point RunPoint(bool lockless, int nr_threads, uint64_t ops_per_thread) {
-  auto rig = MakeRig(lockless);
+Point RunPoint(int nr_threads, uint64_t ops_per_thread) {
+  auto rig = MakeRig();
   std::vector<uint64_t> lane_ns(static_cast<size_t>(nr_threads), 0);
   std::atomic<bool> ok{true};
   const auto wall_start = std::chrono::steady_clock::now();
@@ -160,7 +155,6 @@ Point RunPoint(bool lockless, int nr_threads, uint64_t ops_per_thread) {
   const double total_ops =
       static_cast<double>(ops_per_thread) * nr_threads;
   Point point;
-  point.arm = lockless ? "lockless" : "locked";
   point.threads = nr_threads;
   point.hit_ns_per_op =
       static_cast<double>(makespan) / static_cast<double>(ops_per_thread);
@@ -192,51 +186,62 @@ int Main(int argc, char** argv) {
     }
   }
   const uint64_t ops_per_thread = opts.quick ? 10000 : 40000;
+  const int trials = opts.quick ? 3 : 5;
   const std::vector<int> thread_counts = {1, 2, 4, 8};
 
-  std::vector<Point> points;
-  for (bool lockless : {true, false}) {
-    for (int k : thread_counts) {
-      points.push_back(RunPoint(lockless, k, ops_per_thread));
+  // points[i] is the first trial at thread_counts[i]; later trials only add
+  // wall samples, after checking that the virtual numbers repeat exactly.
+  std::vector<Point> points(thread_counts.size());
+  std::vector<std::vector<double>> wall(thread_counts.size());
+  for (int trial = 0; trial < trials; ++trial) {
+    for (size_t n = 0; n < thread_counts.size(); ++n) {
+      const size_t i = trial % 2 == 0 ? n : thread_counts.size() - 1 - n;
+      const Point p = RunPoint(thread_counts[i], ops_per_thread);
+      if (trial == 0) {
+        points[i] = p;
+      } else if (p.aggregate_ns_per_op != points[i].aggregate_ns_per_op ||
+                 p.hit_ns_per_op != points[i].hit_ns_per_op) {
+        std::fprintf(stderr,
+                     "bench_lockless_reads: virtual ns/op at %dt moved "
+                     "between trials (%.3f vs %.3f)\n",
+                     p.threads, p.aggregate_ns_per_op,
+                     points[i].aggregate_ns_per_op);
+        return 1;
+      }
+      wall[i].push_back(p.wall_tput);
     }
   }
 
   harness::Table table(
       "Lockless read scaling: K threads, one shared resident file "
-      "(100% hits, same mapping stripe)",
-      {"arm", "threads", "hit ns/op", "aggregate tput", "wall tput",
-       "vs locked"});
-  for (const Point& p : points) {
-    double vs_locked = 0;
-    for (const Point& q : points) {
-      if (q.arm == "locked" && q.threads == p.threads) {
-        vs_locked = p.virtual_tput / q.virtual_tput;
-      }
-    }
-    table.AddRow({p.arm, std::to_string(p.threads),
-                  harness::FormatDouble(p.hit_ns_per_op, 1),
-                  harness::FormatOps(p.virtual_tput),
-                  harness::FormatOps(p.wall_tput),
-                  harness::FormatDouble(vs_locked, 2) + "x"});
+      "(100% hits, same mapping stripe), " +
+          std::to_string(trials) + " trials",
+      {"threads", "hit ns/op (virtual)", "aggregate tput (virtual)",
+       "tput (wall, median)", "tput (wall, min-max op/s)"});
+  for (size_t i = 0; i < points.size(); ++i) {
+    std::vector<double>& w = wall[i];
+    std::sort(w.begin(), w.end());
+    table.AddRow({std::to_string(points[i].threads),
+                  harness::FormatDouble(points[i].hit_ns_per_op, 1),
+                  harness::FormatOps(points[i].virtual_tput),
+                  harness::FormatOps(w[w.size() / 2]),
+                  harness::FormatCount(static_cast<uint64_t>(w.front())) +
+                      "-" +
+                      harness::FormatCount(static_cast<uint64_t>(w.back()))});
   }
   table.Print();
 
   std::vector<std::pair<std::string, ArmResult>> counter_rows;
+  std::vector<BenchPoint> bench_points;
   for (const Point& p : points) {
+    const std::string name = "lockless_" + std::to_string(p.threads) + "t";
     ArmResult arm;
     arm.cache_stats = p.stats;
-    counter_rows.emplace_back(p.arm + "_" + std::to_string(p.threads) + "t",
-                              arm);
+    counter_rows.emplace_back(name, arm);
+    bench_points.push_back(BenchPoint{name, p.aggregate_ns_per_op});
   }
   PrintCounters("Hit-path counters (lockless lookups / retries)",
                 counter_rows, kHotPathCounterColumns);
-
-  std::vector<BenchPoint> bench_points;
-  for (const Point& p : points) {
-    bench_points.push_back(
-        BenchPoint{p.arm + "_" + std::to_string(p.threads) + "t",
-                   p.aggregate_ns_per_op});
-  }
 
   if (opts.out != nullptr) {
     if (!WriteBenchJson(opts.out, "lockless_reads", bench_points)) {
@@ -254,28 +259,6 @@ int Main(int argc, char** argv) {
                    regressions);
       return 1;
     }
-  }
-
-  // Self-check against the acceptance bar: the lockless arm must beat the
-  // locked ablation by >= 1.5x at 8 threads and must not cost anything
-  // single-threaded (within 5%).
-  const auto find = [&](const std::string& arm, int k) -> const Point& {
-    for (const Point& p : points) {
-      if (p.arm == arm && p.threads == k) return p;
-    }
-    std::abort();
-  };
-  const double speedup_8t =
-      find("lockless", 8).virtual_tput / find("locked", 8).virtual_tput;
-  const double ratio_1t =
-      find("lockless", 1).hit_ns_per_op / find("locked", 1).hit_ns_per_op;
-  std::printf("lockless vs locked @8t: %.2fx; 1t ns/op ratio: %.3f\n",
-              speedup_8t, ratio_1t);
-  if (speedup_8t < 1.5 || ratio_1t > 1.05) {
-    std::fprintf(stderr,
-                 "bench_lockless_reads: acceptance check failed "
-                 "(need >=1.5x @8t and <=1.05 @1t)\n");
-    return 1;
   }
   return 0;
 }

@@ -10,15 +10,17 @@
 // an attached s3fifo ext policy and the native default LRU, so both the
 // ext-dispatch path and the base path are exercised concurrently.
 //
-// Unlike every other bench (deterministic virtual-clock interleaving), this
-// one drives real std::threads and reports wall-clock throughput; per-op
-// latency percentiles remain virtual-time. Emits BENCH_mt_scaling.json.
+// Unlike the figure benches (deterministic virtual-clock interleaving), this
+// one drives real std::threads. Its aggregate throughput, latency
+// percentiles and speedup are virtual-time; only the wall throughput column
+// (and `wall_throughput_ops` in the JSON) is real time. Emits
+// BENCH_mt_scaling.json.
 //
 // Flags: --quick (smaller DBs + fewer ops, for CI), --out PATH,
 // --policy NAME (every thread attaches NAME instead of the
 // s3fifo/default mix — used to prove an IR policy's hook dispatch does
 // not serialize the lanes), --check (assert the 8-thread point keeps
-// >= 4x aggregate speedup over 1 thread; exit 1 otherwise).
+// >= 4x virtual aggregate speedup over 1 thread; exit 1 otherwise).
 
 #include <cstdio>
 #include <cstdlib>
@@ -177,8 +179,9 @@ int Main(int argc, char** argv) {
   harness::Table table("MT scaling: K lane threads, one page cache "
                        "(YCSB-C, per-thread cgroup+DB, " +
                            mix_label + ")",
-                       {"threads", "aggregate tput", "wall tput", "p50",
-                        "p99", "speedup"});
+                       {"threads", "aggregate tput (virtual)", "tput (wall)",
+                        "p50 (virtual)", "p99 (virtual)",
+                        "speedup (virtual)"});
   for (const ScalingPoint& p : points) {
     table.AddRow({std::to_string(p.threads),
                   harness::FormatOps(p.run.throughput_ops),

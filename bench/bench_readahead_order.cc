@@ -1,30 +1,30 @@
 // Readahead + multi-order folio admission bench (DESIGN.md §10: the
 // readahead and admit_order hooks).
 //
-// Two workloads, two policy arms, 1 and 8 threads:
+// Two workloads, two policy arms, 1 and 8 lanes:
 //
-//   streaming  — cold cache; each thread reads its own disjoint segment of
-//                the file sequentially, page by page. Misses dominate, so
-//                the win comes from the miss path: the policy's readahead
-//                window covers whole order-4 spans, each span is one folio
-//                allocation, one charge, and one contiguous device read
-//                instead of sixteen.
+//   streaming  — cold cache; each lane reads its own file sequentially,
+//                page by page. Misses dominate, so the win comes from the
+//                miss path: the policy's readahead window covers whole
+//                order-4 spans, each span is one folio allocation, one
+//                charge, and one contiguous device read instead of sixteen.
+//                A file per lane, not a segment of one shared file, keeps
+//                one lane's readahead from faulting in another lane's pages.
 //   random-KV  — fully-resident file (preloaded through the same policy,
-//                so the order-4 arm holds order-4 folios); threads issue
-//                random single-page reads. 100% hits — this measures the
-//                per-hit cost of sibling resolution on the lockless read
-//                path, which must not regress vs order-0.
+//                so the order-4 arm holds order-4 folios); one real thread
+//                per lane reads random single pages. 100% hits — this
+//                measures the per-hit cost of sibling resolution on the
+//                lockless read path, which must not regress vs order-0.
 //
 // Arms differ ONLY in the admit_order answer (0 vs 4); both attach the
 // same fixed 16-page readahead window, so the folio order is the isolated
-// variable. A `locked` ablation re-runs the 8-thread random points with
-// `lockless_reads = false` to show multi-order sibling lookups still ride
-// the lock-free hit path.
+// variable. Every virtual number is deterministic: streaming lanes take
+// turns by virtual clock (RunStream), and a hit charges only its own lane.
 //
-// Emits bench-smoke points `<wl>_<arm>_<K>t[_locked]` (aggregate virtual
-// ns/op) for tools/check.sh --bench-smoke; `--check` enforces the PR
-// acceptance bars: streaming order-4 >= 1.3x order-0 throughput (1t) and
-// random-KV order-4 <= 1.05x order-0 ns/op (1t).
+// Emits bench-smoke points `<wl>_<arm>_<K>t` (aggregate virtual ns/op) for
+// tools/check.sh --bench-smoke; `--check` enforces the acceptance bars:
+// streaming order-4 >= 1.3x order-0 throughput (1t) and random-KV order-4
+// <= 1.05x order-0 ns/op (1t).
 //
 // Flags: --quick, --check, --out PATH, --baseline PATH, --threshold F.
 
@@ -89,15 +89,15 @@ struct Rig {
   std::unique_ptr<PageCache> pc;
   std::unique_ptr<CacheExtLoader> loader;
   MemCgroup* cg = nullptr;
-  AddressSpace* as = nullptr;
-  uint64_t file_pages = 0;
+  std::vector<AddressSpace*> files;
   uint64_t base_ns = 0;  // virtual time after preload; lanes start here
 };
 
-std::unique_ptr<Rig> MakeRig(uint32_t order, bool lockless,
+// `nr_files` files of `file_pages` pages each.
+std::unique_ptr<Rig> MakeRig(uint32_t order, int nr_files,
                              uint64_t file_pages, bool preload) {
   auto rig = std::make_unique<Rig>();
-  rig->file_pages = file_pages;
+  const uint64_t total_pages = file_pages * static_cast<uint64_t>(nr_files);
   // A device where fixed per-request latency dominates transfer time
   // (NVMe-class: fast link, fixed flash-read cost): the regime where one
   // 16-page folio read beats sixteen page reads, and where the per-folio
@@ -108,23 +108,24 @@ std::unique_ptr<Rig> MakeRig(uint32_t order, bool lockless,
   ssd_options.bytes_per_us = 8000;
   rig->ssd = std::make_unique<SsdModel>(ssd_options);
   PageCacheOptions options;
-  options.lockless_reads = lockless;
   options.max_readahead_pages = 64;  // clamp far above the policy window
   rig->pc = std::make_unique<PageCache>(&rig->disk, rig->ssd.get(), options);
   rig->loader = std::make_unique<CacheExtLoader>(rig->pc.get());
   // Limit far above residency: no reclaim in either workload phase.
-  rig->cg = rig->pc->CreateCgroup("/bench", 4 * file_pages * kPageSize);
-  auto as = rig->pc->OpenFile("/data");
-  CHECK(as.ok());
-  rig->as = *as;
-  CHECK(rig->disk.Truncate(rig->as->file(), file_pages * kPageSize).ok());
+  rig->cg = rig->pc->CreateCgroup("/bench", 4 * total_pages * kPageSize);
   std::vector<uint8_t> page(kPageSize);
-  for (uint64_t p = 0; p < file_pages; ++p) {
-    std::fill(page.begin(), page.end(), PatternByte(p));
-    CHECK(rig->disk
-              .WriteAt(rig->as->file(), p * kPageSize,
-                       std::span<const uint8_t>(page))
-              .ok());
+  for (int f = 0; f < nr_files; ++f) {
+    auto as = rig->pc->OpenFile("/data" + std::to_string(f));
+    CHECK(as.ok());
+    rig->files.push_back(*as);
+    CHECK(rig->disk.Truncate((*as)->file(), file_pages * kPageSize).ok());
+    for (uint64_t p = 0; p < file_pages; ++p) {
+      std::fill(page.begin(), page.end(), PatternByte(p));
+      CHECK(rig->disk
+                .WriteAt((*as)->file(), p * kPageSize,
+                         std::span<const uint8_t>(page))
+                .ok());
+    }
   }
   CHECK(rig->loader
             ->Attach(rig->cg, ArmOps(order == 0 ? "order0" : "order4", order))
@@ -134,13 +135,15 @@ std::unique_ptr<Rig> MakeRig(uint32_t order, bool lockless,
     // so the order-4 arm is resident as order-4 folios.
     Lane lane(0, TaskContext{1, 1}, 7);
     std::vector<uint8_t> buf(kPageSize);
-    for (uint64_t p = 0; p < file_pages; ++p) {
-      CHECK(rig->pc
-                ->Read(lane, rig->as, rig->cg, p * kPageSize,
-                       std::span<uint8_t>(buf))
-                .ok());
+    for (AddressSpace* as : rig->files) {
+      for (uint64_t p = 0; p < file_pages; ++p) {
+        CHECK(rig->pc
+                  ->Read(lane, as, rig->cg, p * kPageSize,
+                         std::span<uint8_t>(buf))
+                  .ok());
+      }
+      CHECK(as->nr_resident() >= file_pages);
     }
-    CHECK(rig->as->nr_resident() >= file_pages);
     rig->base_ns = lane.now_ns();
   }
   return rig;
@@ -177,54 +180,59 @@ Point Finish(std::string name, Rig& rig, uint64_t total_ops,
   return point;
 }
 
-// Streaming: cold cache, each thread owns a disjoint segment and reads it
-// front to back, one page per op.
-Point RunStream(uint32_t order, int nr_threads, uint64_t file_pages) {
-  auto rig = MakeRig(order, /*lockless=*/true, file_pages, /*preload=*/false);
-  const uint64_t seg =
-      file_pages / static_cast<uint64_t>(nr_threads);
-  std::vector<uint64_t> lane_ns(static_cast<size_t>(nr_threads), 0);
-  std::atomic<bool> ok{true};
-  const auto wall_start = std::chrono::steady_clock::now();
-  std::vector<std::thread> workers;
-  for (int t = 0; t < nr_threads; ++t) {
-    workers.emplace_back([&rig, &lane_ns, &ok, t, seg] {
-      Lane lane(static_cast<uint32_t>(t), TaskContext{100 + t, 100 + t},
-                17 + static_cast<uint64_t>(t));
-      std::vector<uint8_t> buf(kPageSize);
-      const uint64_t first = static_cast<uint64_t>(t) * seg;
-      for (uint64_t p = first; p < first + seg; ++p) {
-        if (!rig->pc
-                 ->Read(lane, rig->as, rig->cg, p * kPageSize,
-                        std::span<uint8_t>(buf))
-                 .ok() ||
-            buf[0] != PatternByte(p)) {
-          ok.store(false, std::memory_order_relaxed);
-          return;
-        }
-      }
-      lane_ns[static_cast<size_t>(t)] = lane.now_ns();
-    });
+// Streaming: cold cache, K lanes each read their own file of
+// file_pages / K pages front to back, one page per op. The lanes take turns
+// on one OS thread, the lane with the smallest virtual clock first (the
+// harness's rule, src/harness/runner.h): the device queues requests in
+// arrival order, so lanes on real threads would make the device queueing,
+// and with it every virtual number, depend on thread timing.
+Point RunStream(uint32_t order, int nr_lanes, uint64_t file_pages) {
+  const uint64_t seg = file_pages / static_cast<uint64_t>(nr_lanes);
+  auto rig = MakeRig(order, nr_lanes, seg, /*preload=*/false);
+  std::vector<Lane> lanes;
+  for (int t = 0; t < nr_lanes; ++t) {
+    lanes.emplace_back(static_cast<uint32_t>(t),
+                       TaskContext{100 + t, 100 + t},
+                       17 + static_cast<uint64_t>(t));
   }
-  for (std::thread& w : workers) w.join();
+  std::vector<uint64_t> next_page(lanes.size(), 0);
+  std::vector<uint8_t> buf(kPageSize);
+  const auto wall_start = std::chrono::steady_clock::now();
+  for (uint64_t op = 0; op < seg * lanes.size(); ++op) {
+    size_t t = lanes.size();
+    for (size_t i = 0; i < lanes.size(); ++i) {
+      if (next_page[i] < seg &&
+          (t == lanes.size() || lanes[i].now_ns() < lanes[t].now_ns())) {
+        t = i;
+      }
+    }
+    const uint64_t p = next_page[t]++;
+    if (!rig->pc
+             ->Read(lanes[t], rig->files[t], rig->cg, p * kPageSize,
+                    std::span<uint8_t>(buf))
+             .ok() ||
+        buf[0] != PatternByte(p)) {
+      std::fprintf(stderr, "bench: streaming read failed or wrong bytes\n");
+      std::exit(1);
+    }
+  }
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
           .count();
-  if (!ok.load()) {
-    std::fprintf(stderr, "bench: streaming read failed or wrong bytes\n");
-    std::exit(1);
+  std::vector<uint64_t> lane_ns;
+  for (const Lane& lane : lanes) {
+    lane_ns.push_back(lane.now_ns());
   }
   return Finish("stream_order" + std::to_string(order) + "_" +
-                    std::to_string(nr_threads) + "t",
-                *rig, seg * static_cast<uint64_t>(nr_threads), lane_ns,
-                wall_s);
+                    std::to_string(nr_lanes) + "t",
+                *rig, seg * lanes.size(), lane_ns, wall_s);
 }
 
 // Random-KV: fully-resident file, random single-page reads (100% hits).
 Point RunRandom(uint32_t order, int nr_threads, uint64_t file_pages,
-                uint64_t ops_per_thread, bool lockless) {
-  auto rig = MakeRig(order, lockless, file_pages, /*preload=*/true);
+                uint64_t ops_per_thread) {
+  auto rig = MakeRig(order, 1, file_pages, /*preload=*/true);
   std::vector<uint64_t> lane_ns(static_cast<size_t>(nr_threads), 0);
   std::atomic<bool> ok{true};
   const auto wall_start = std::chrono::steady_clock::now();
@@ -241,7 +249,7 @@ Point RunRandom(uint32_t order, int nr_threads, uint64_t file_pages,
         state = state * 6364136223846793005ULL + 1442695040888963407ULL;
         const uint64_t page = (state >> 33) % file_pages;
         if (!rig->pc
-                 ->Read(lane, rig->as, rig->cg, page * kPageSize,
+                 ->Read(lane, rig->files[0], rig->cg, page * kPageSize,
                         std::span<uint8_t>(buf))
                  .ok() ||
             buf[0] != PatternByte(page)) {
@@ -262,8 +270,7 @@ Point RunRandom(uint32_t order, int nr_threads, uint64_t file_pages,
     std::exit(1);
   }
   return Finish("rand_order" + std::to_string(order) + "_" +
-                    std::to_string(nr_threads) + "t" +
-                    (lockless ? "" : "_locked"),
+                    std::to_string(nr_threads) + "t",
                 *rig,
                 ops_per_thread * static_cast<uint64_t>(nr_threads), lane_ns,
                 wall_s);
@@ -302,20 +309,15 @@ int Main(int argc, char** argv) {
   }
   for (uint32_t order : {0u, 4u}) {
     for (int k : thread_counts) {
-      points.push_back(
-          RunRandom(order, k, file_pages, rand_ops, /*lockless=*/true));
+      points.push_back(RunRandom(order, k, file_pages, rand_ops));
     }
-  }
-  // Lockless ablation: 8-thread random hits with the locked hit path.
-  for (uint32_t order : {0u, 4u}) {
-    points.push_back(
-        RunRandom(order, 8, file_pages, rand_ops, /*lockless=*/false));
   }
 
   harness::Table table(
       "Readahead + multi-order admission: streaming (cold misses) and "
       "random-KV (resident hits), order-4 vs order-0",
-      {"point", "ns/op", "hit rate", "tput (virtual)", "tput (wall)"});
+      {"point", "ns/op (virtual)", "hit rate", "tput (virtual)",
+       "tput (wall)"});
   for (const Point& p : points) {
     table.AddRow({p.name, harness::FormatDouble(p.aggregate_ns_per_op, 1),
                   harness::FormatDouble(p.hit_rate * 100.0, 1) + "%",
@@ -372,12 +374,10 @@ int Main(int argc, char** argv) {
                            find("stream_order0_8t").virtual_tput;
   const double rand_1t = find("rand_order4_1t").aggregate_ns_per_op /
                          find("rand_order0_1t").aggregate_ns_per_op;
-  const double ablation_8t = find("rand_order4_8t").virtual_tput /
-                             find("rand_order4_8t_locked").virtual_tput;
   std::printf(
-      "order-4 vs order-0 streaming tput: %.2fx @1t, %.2fx @8t; "
-      "random-KV 1t ns/op ratio: %.3f; lockless vs locked @8t: %.2fx\n",
-      stream_1t, stream_8t, rand_1t, ablation_8t);
+      "order-4 vs order-0 streaming tput (virtual): %.2fx @1t, %.2fx @8t; "
+      "random-KV 1t ns/op ratio (virtual): %.3f\n",
+      stream_1t, stream_8t, rand_1t);
   if (opts.check) {
     // PR acceptance: order-4 streaming >= 1.3x order-0, and multi-order
     // hits must not slow the single-threaded random path by > 5%.

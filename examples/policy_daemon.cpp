@@ -25,6 +25,14 @@ const char* KindName(PolicyManager::EventKind kind) {
       return "DENIED";
     case PolicyManager::EventKind::kWatchdogReverted:
       return "WATCHDOG-REVERTED";
+    case PolicyManager::EventKind::kQuarantined:
+      return "QUARANTINED";
+    case PolicyManager::EventKind::kReattached:
+      return "REATTACHED";
+    case PolicyManager::EventKind::kReattachFailed:
+      return "REATTACH-FAILED";
+    case PolicyManager::EventKind::kBanned:
+      return "BANNED";
   }
   return "?";
 }

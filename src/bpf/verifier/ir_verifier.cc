@@ -75,11 +75,6 @@ RegAbs MapValue(uint32_t map) { return RegAbs{RKind::kMapValue, 0, 0, map}; }
 RegAbs MaybeNull(uint32_t map) { return RegAbs{RKind::kMaybeNull, 0, 0, map}; }
 RegAbs NullPtr(uint32_t map) { return RegAbs{RKind::kNull, 0, 0, map}; }
 
-bool IsPointer(const RegAbs& r) {
-  return r.kind == RKind::kFolio || r.kind == RKind::kMapValue ||
-         r.kind == RKind::kMaybeNull || r.kind == RKind::kNull;
-}
-
 const char* KindName(RKind k) {
   switch (k) {
     case RKind::kUninit:    return "uninitialized";
@@ -421,8 +416,7 @@ class HookAnalyzer {
   // Transfer one instruction; merges successor flows via `merge_to`.
   // Returns false on a hard (non-recoverable) analysis error.
   template <typename MergeFn>
-  bool Transfer(size_t pc, Flow cur, bool in_body, size_t end,
-                MergeFn&& merge_to);
+  bool Transfer(size_t pc, Flow cur, bool in_body, MergeFn&& merge_to);
   template <typename MergeFn>
   bool TransferLoop(size_t pc, Flow cur, MergeFn&& merge_to);
 
@@ -621,7 +615,7 @@ std::optional<HookAnalyzer::RangeResult> HookAnalyzer::AnalyzeRange(
     }
     visited_[pc] = true;
     Flow cur = *in[pc - begin];
-    if (!Transfer(pc, std::move(cur), in_body, end, merge_to)) {
+    if (!Transfer(pc, std::move(cur), in_body, merge_to)) {
       return std::nullopt;
     }
   }
@@ -634,7 +628,7 @@ std::optional<HookAnalyzer::RangeResult> HookAnalyzer::AnalyzeRange(
 }
 
 template <typename MergeFn>
-bool HookAnalyzer::Transfer(size_t pc, Flow cur, bool in_body, size_t end,
+bool HookAnalyzer::Transfer(size_t pc, Flow cur, bool in_body,
                             MergeFn&& merge_to) {
   const Inst& ins = prog_[pc];
   auto at = [&]() { return " at {" + ir::Disasm(ins, pc) + "}"; };

@@ -71,9 +71,13 @@ void DefaultLruPolicy::BalanceLists() {
   // the preliminary filter has room to observe second accesses.
   const uint64_t total = active_.size() + inactive_.size();
   uint64_t demoted = 0;
-  while (inactive_.size() < total / 3 && !active_.empty() &&
-         demoted < 2 * kMaxEvictionBatch) {
+  while (inactive_.size() < total / 3 && demoted < 2 * kMaxEvictionBatch) {
     Folio* folio = active_.PopFront();
+    // The empty-list test lives here, not in the loop guard, so GCC sees
+    // that a null folio is never dereferenced (-Wstringop-overflow).
+    if (folio == nullptr) {
+      break;
+    }
     // Note: referenced active folios are demoted rather than given another
     // trip around the active list (§2.1).
     folio->ClearFlag(kFolioActive);

@@ -89,21 +89,10 @@ PageCache::PageCache(SimDisk* disk, SsdModel* ssd, PageCacheOptions options)
     : disk_(disk), ssd_(ssd), options_(options) {
   CHECK_NOTNULL(disk_);
   CHECK_NOTNULL(ssd_);
-  options_.hook_batch_size = std::clamp<uint32_t>(
-      options_.hook_batch_size, 1, static_cast<uint32_t>(kMaxEvictionBatch));
   if (options_.reclaim.background && options_.reclaim.use_threads) {
     reclaimer_pool_ = std::make_unique<reclaim::ReclaimerPool>(
         options_.reclaim,
         [this](void* token) { BackgroundTickForToken(token); });
-  }
-  if (options_.writeback.background && options_.writeback.use_threads) {
-    // Reuse the reclaim pool machinery for flusher threads; it only reads
-    // nr_threads / thread_poll_us from the options.
-    reclaim::ReclaimOptions pool_opts;
-    pool_opts.nr_threads = options_.writeback.nr_threads;
-    pool_opts.thread_poll_us = options_.writeback.thread_poll_us;
-    flusher_pool_ = std::make_unique<reclaim::ReclaimerPool>(
-        pool_opts, [this](void* token) { FlushTickForToken(token); });
   }
 }
 
@@ -112,9 +101,6 @@ PageCache::~PageCache() CACHE_EXT_NO_TSA {
   // and folios, so they must be joined before anything else is torn down.
   if (reclaimer_pool_ != nullptr) {
     reclaimer_pool_->Stop();
-  }
-  if (flusher_pool_ != nullptr) {
-    flusher_pool_->Stop();
   }
   // Drain every deferred free first (folios and xarray nodes this cache
   // retired): their deleters touch the local-storage directory and must
@@ -151,9 +137,6 @@ MemCgroup* PageCache::CreateCgroup(std::string_view name, uint64_t limit_bytes,
   MemCgroup* cg = state->cg.get();
   if (reclaimer_pool_ != nullptr) {
     reclaimer_pool_->Register(state.get());
-  }
-  if (flusher_pool_ != nullptr) {
-    flusher_pool_->Register(state.get());
   }
   cgroups_.push_back(std::move(state));
   return cg;
@@ -312,6 +295,14 @@ ReclaimPolicy* PageCache::base_policy(MemCgroup* cg) {
 
 // --- Batched hook dispatch -------------------------------------------------
 
+// folio_added/folio_accessed notifications are buffered per operation and
+// dispatched to the owning cgroup's policies in batches of up to this many
+// events (drained at reclaim boundaries and operation end), charging one
+// amortized hook-dispatch cost per batch — the hot-path analogue of the
+// batch-scoring mode in eviction_list (§4.2.3).
+constexpr uint32_t kHookBatchSize = 16;
+static_assert(kHookBatchSize <= kMaxEvictionBatch);
+
 void PageCache::Append(Lane& lane, DispatchBatch& batch, CgroupState* owner,
                        Folio* folio, HookEvent event, CgroupState* locked) {
   CHECK(batch.size < batch.entries.size());
@@ -331,7 +322,7 @@ void PageCache::Append(Lane& lane, DispatchBatch& batch, CgroupState* owner,
     }
   }
   batch.entries[batch.size++] = PendingHook{folio, owner, event};
-  if (batch.size >= options_.hook_batch_size) {
+  if (batch.size >= kHookBatchSize) {
     if (locked != nullptr) {
       DrainLocked(lane, batch, *locked);
     } else {
@@ -447,8 +438,7 @@ Folio* PageCache::LocklessLookup(AddressSpace* as, uint64_t index,
 }
 
 uint32_t PageCache::SelectOrder(Lane& lane, CgroupState& st, AddressSpace* as,
-                                uint64_t index, bool is_write,
-                                uint32_t nr_wanted) {
+                                uint64_t index, uint32_t nr_wanted) {
   if (!ExtActive(st)) {
     return 0;
   }
@@ -491,19 +481,12 @@ Folio* PageCache::InsertFolio(Lane& lane, AddressSpace* as, CgroupState& st,
   MemCgroup* cg = st.cg.get();
   Stripe& stripe = StripeFor(as);
 
-  // First presence probe: lock-free in the default mode (the populated-
-  // while-we-missed case is common under readahead); the second probe
-  // below, under the stripe, is authoritative either way.
-  if (options_.lockless_reads) {
+  // First presence probe, lock-free (the populated-while-we-missed case is
+  // common under readahead); the second probe below, under the stripe, is
+  // authoritative.
+  {
     ebr::Guard guard;
     if (Folio* existing = LocklessLookup(as, index, st); existing != nullptr) {
-      *already_present = true;
-      return existing;
-    }
-  } else {
-    MutexLock s(stripe.mu);
-    if (Folio* existing = as->FindFolio(index); existing != nullptr) {
-      existing->Pin();
       *already_present = true;
       return existing;
     }
@@ -525,7 +508,7 @@ Folio* PageCache::InsertFolio(Lane& lane, AddressSpace* as, CgroupState& st,
     }
   }
 
-  uint32_t order = SelectOrder(lane, st, as, index, is_write, nr_wanted);
+  uint32_t order = SelectOrder(lane, st, as, index, nr_wanted);
 
   lane.Charge(options_.costs.miss_setup_ns);
 
@@ -925,6 +908,9 @@ uint64_t PageCache::RunEvictionBatch(Lane& lane, CgroupState& st,
 
 void PageCache::DirectReclaim(Lane& lane, CgroupState& st,
                               DispatchBatch& batch) {
+  // Reclaim gives up and OOM-kills the cgroup after this many consecutive
+  // zero-progress rounds (kernel: MAX_RECLAIM_RETRIES-style bound).
+  constexpr int kMaxReclaimRetries = 8;
   MemCgroup* cg = st.cg.get();
   // The policy must see every buffered notification for this cgroup before
   // proposing victims (batching bounds staleness at the batch size).
@@ -944,7 +930,7 @@ void PageCache::DirectReclaim(Lane& lane, CgroupState& st,
     total_evicted += evicted;
     if (evicted == 0) {
       zero_progress_ns += lane.now_ns() - round_start_ns;
-      if (++zero_progress_rounds >= options_.max_reclaim_retries) {
+      if (++zero_progress_rounds >= kMaxReclaimRetries) {
         st.oom_killed.store(true, std::memory_order_relaxed);
         cg->stat_oom_events.fetch_add(1, std::memory_order_relaxed);
         LOG_WARNING << "memcg OOM: cgroup '" << cg->name()
@@ -963,6 +949,8 @@ void PageCache::DirectReclaim(Lane& lane, CgroupState& st,
 
 void PageCache::BackgroundTick(CgroupState& st, DispatchBatch* batch,
                                uint64_t now_hint_ns) {
+  // Batches one tick may run before yielding the cgroup lock.
+  constexpr uint32_t kMaxBatchesPerTick = 64;
   MemCgroup* cg = st.cg.get();
   reclaim::CgroupReclaimControl& rc = *st.reclaim;
   const reclaim::Watermarks wm = reclaim::ForCgroup(*cg);
@@ -989,7 +977,7 @@ void PageCache::BackgroundTick(CgroupState& st, DispatchBatch* batch,
   const uint64_t start_ns = rlane.now_ns();
   uint32_t batches = 0;
   while (!wm.TargetReached(cg->charged_pages()) &&
-         batches < options_.reclaim.max_batches_per_tick) {
+         batches < kMaxBatchesPerTick) {
     if (rc.InjectedUnderReclaim()) {
       break;  // chaos: give up early, occupancy drifts toward the limit
     }
@@ -1081,7 +1069,7 @@ void PageCache::ReclaimIfNeeded(Lane& lane, CgroupState& st,
   // kick can help (healthy lane, or a backed-off probe of a stalled one),
   // try that once before paying inline.
   const uint64_t overshoot = cg->charged_pages() - cg->limit_pages();
-  if (rc.NoteEmergencyEntry(overshoot, options_.reclaim)) {
+  if (rc.NoteEmergencyEntry(overshoot)) {
     KickBackground(lane, st, batch);
     if (!cg->OverLimit()) {
       return;
@@ -1109,7 +1097,7 @@ void PageCache::FlushTick(CgroupState& st, DispatchBatch* batch,
   }
   Lane& wlane = fc.lane();
   // The flusher cannot have acted before the dirtying that woke it: pin its
-  // clock forward to the waker's (pool threads pass 0 — no virtual waker).
+  // clock forward to the waker's.
   wlane.AdvanceTo(now_hint_ns);
   // Writeback hooks run as the flusher task, not as whichever writer
   // happened to trip the wakeup.
@@ -1119,7 +1107,10 @@ void PageCache::FlushTick(CgroupState& st, DispatchBatch* batch,
   }
   const uint64_t start_ns = wlane.now_ns();
   const bool use_ext = ExtActive(st);
-  uint64_t budget = options_.writeback.max_pages_per_tick;
+  // Dirty pages one tick may harvest before yielding (the analogue of
+  // MAX_WRITEBACK_PAGES bounding one wb_writeback chunk).
+  constexpr uint64_t kMaxPagesPerTick = 1024;
+  uint64_t budget = kMaxPagesPerTick;
 
   // Harvest: walk each dirty file under its stripe, clear dirty bits, mark
   // + pin the folios for the in-flight window (kFolioWriteback; the pin
@@ -1186,36 +1177,27 @@ void PageCache::FlushTick(CgroupState& st, DispatchBatch* batch,
   // Submit: sort into policy-key/file-offset order and merge contiguous
   // same-file runs so one device write covers a whole extent (the block
   // layer's request merging). All CPU time lands on the flusher lane.
-  writeback::SortFlushItems(items);
-  uint64_t extents = 0;
+  const std::vector<writeback::FlushExtent> extents =
+      writeback::SortAndCoalesce(items);
+  size_t submitted = 0;
   size_t reverted_from = items.size();
-  size_t i = 0;
-  while (i < items.size()) {
-    if (extents > 0 && fc.PartialFlushInjected()) {
-      reverted_from = i;  // chaos: the tick dies after its first extent
+  for (const writeback::FlushExtent& extent : extents) {
+    if (submitted > 0 && fc.PartialFlushInjected()) {
+      reverted_from = extent.first_item;  // chaos: the tick dies here
       break;
     }
-    size_t j = i;
-    uint64_t run_pages = items[i].nr_pages;
-    while (j + 1 < items.size() && items[j + 1].mapping == items[j].mapping &&
-           items[j + 1].index == items[j].index + items[j].nr_pages &&
-           run_pages + items[j + 1].nr_pages <=
-               options_.writeback.max_extent_pages) {
-      ++j;
-      run_pages += items[j].nr_pages;
-    }
     const uint64_t completion =
-        ssd_->SubmitWrite(wlane.now_ns(), run_pages * kPageSize);
-    wlane.Charge(run_pages * options_.costs.writeback_page_ns);
-    items[i].mapping->NoteWritebackCompletion(completion);
-    st.stats.writeback_pages.fetch_add(run_pages, std::memory_order_relaxed);
-    for (size_t k = i; k <= j; ++k) {
+        ssd_->SubmitWrite(wlane.now_ns(), extent.nr_pages * kPageSize);
+    wlane.Charge(extent.nr_pages * options_.costs.writeback_page_ns);
+    extent.mapping->NoteWritebackCompletion(completion);
+    st.stats.writeback_pages.fetch_add(extent.nr_pages,
+                                       std::memory_order_relaxed);
+    for (size_t k = extent.first_item; k < extent.end_item; ++k) {
       items[k].folio->ClearFlag(kFolioWriteback);
       items[k].mapping->wb_seq_done.fetch_add(1, std::memory_order_release);
       items[k].folio->Unpin();
     }
-    ++extents;
-    i = j + 1;
+    ++submitted;
   }
   for (size_t k = reverted_from; k < items.size(); ++k) {
     // Un-submitted items revert to dirty. No byte is lost: writes publish
@@ -1228,35 +1210,13 @@ void PageCache::FlushTick(CgroupState& st, DispatchBatch* batch,
     items[k].mapping->wb_seq_done.fetch_add(1, std::memory_order_release);
     items[k].folio->Unpin();
   }
-  if (extents > 0) {
-    fc.NoteFlush(extents);
+  if (submitted > 0) {
+    fc.NoteFlush(submitted);
   }
   fc.NoteWritebackNs(wlane.now_ns() - start_ns);
   if (dl.TargetReached(fc.nr_dirty())) {
     fc.NoteTargetReached();
   }
-}
-
-void PageCache::KickFlusher(Lane& lane, CgroupState& st, DispatchBatch* batch) {
-  if (flusher_pool_ != nullptr) {
-    // Async: dirtying pays a condvar signal, never writeback work.
-    flusher_pool_->Kick(&st);
-    return;
-  }
-  // Virtual lane (single-threaded sims): tick synchronously, modelling an
-  // always-prompt flusher. The writeback work is charged to the flusher's
-  // own clock — the writer's latency is untouched.
-  FlushTick(st, batch, lane.now_ns());
-}
-
-void PageCache::FlushTickForToken(void* token) CACHE_EXT_NO_TSA {
-  auto* st = static_cast<CgroupState*>(token);
-  // Lock-free gate: clean cgroups cost the pool one relaxed load per poll.
-  if (st->flush->nr_dirty() == 0) {
-    return;
-  }
-  MutexLock lock(st->mu);
-  FlushTick(*st, nullptr, 0);
 }
 
 void PageCache::BalanceDirty(Lane& lane, CgroupState& st) {
@@ -1284,7 +1244,7 @@ void PageCache::BalanceDirtyLocked(Lane& lane, CgroupState& st,
     return;
   }
   if (fc.ShouldWake(dl)) {
-    KickFlusher(lane, st, batch);
+    FlushTick(st, batch, lane.now_ns());
   }
   if (!dl.NeedsThrottle(fc.nr_dirty())) {
     return;
@@ -1293,16 +1253,16 @@ void PageCache::BalanceDirtyLocked(Lane& lane, CgroupState& st,
   // Stall it in bounded pauses until the flusher drains back under the
   // ratio (or the round cap hits — writer latency stays bounded even when
   // the device cannot keep up). The stall is the PSI-style
-  // `ext_dirty_throttle_ns` half of the writeback accounting.
+  // `ext_dirty_throttle_ns` half of the writeback accounting. Each round
+  // stalls the writer this long before re-checking the gauge (kernel: ~one
+  // pause() of HZ/5 scaled).
+  constexpr uint64_t kThrottlePauseNs = 200 * 1000;
   const uint64_t start_ns = lane.now_ns();
   uint32_t rounds = 0;
   while (dl.NeedsThrottle(fc.nr_dirty()) &&
          rounds < options_.writeback.max_throttle_rounds) {
-    KickFlusher(lane, st, batch);
-    lane.Charge(options_.writeback.throttle_pause_ns);
-    if (flusher_pool_ != nullptr) {
-      std::this_thread::yield();  // real threads: let the flusher run
-    }
+    FlushTick(st, batch, lane.now_ns());
+    lane.Charge(kThrottlePauseNs);
     ++rounds;
   }
   fc.NoteThrottle(lane.now_ns() - start_ns);
@@ -1438,43 +1398,18 @@ Status PageCache::Read(Lane& lane, AddressSpace* as, MemCgroup* cg,
 
   uint64_t index = first;
   while (index <= last) {
-    // Hit check. Default mode: lock-free xarray walk + speculative TryPin
-    // under an ebr::Guard (filemap_get_folio under rcu_read_lock) — the
-    // stripe is never required for a hit. Ablation (lockless_reads=false):
-    // the whole hit service runs under the stripe, whose virtual-time
-    // frontier serializes hits across lanes the way a contended xa_lock
-    // serializes real CPUs. Either way the hit copies out of the folio's
-    // pages while the guard (or the stripe) still excludes a free of a page
-    // a write re-points, and never touches the device.
-    Folio* hit = nullptr;
-    uint64_t next = 0;
-    if (options_.lockless_reads) {
-      if (!hit_guard.has_value()) {
-        hit_guard.emplace();
-      }
-      hit = LocklessLookup(as, index, *st);
-      if (hit != nullptr) {
-        lane.Charge(options_.costs.hit_ns);
-        next = std::min(last + 1, hit->index + hit->nr_pages());
-        copier.AddFolio(*hit, index, next);
-      } else {
-        copier.Flush();
-        hit_guard.reset();
-      }
-    } else {
-      MutexLock s(stripe.mu);
-      lane.AdvanceTo(stripe.frontier_ns);  // wait for the previous holder
-      hit = as->FindFolio(index);
-      if (hit != nullptr) {
-        hit->Pin();  // guard across the stripe release, until the ring pins
-        lane.Charge(options_.costs.hit_ns);
-        stripe.frontier_ns = lane.now_ns();
-        next = std::min(last + 1, hit->index + hit->nr_pages());
-        copier.AddFolio(*hit, index, next);
-        copier.Flush();
-      }
+    // Hit check: lock-free xarray walk + speculative TryPin under an
+    // ebr::Guard (filemap_get_folio under rcu_read_lock) — the stripe is
+    // never required for a hit. The hit copies out of the folio's pages
+    // while the guard still excludes a free of a page a write re-points,
+    // and never touches the device.
+    if (!hit_guard.has_value()) {
+      hit_guard.emplace();
     }
-    if (hit != nullptr) {
+    if (Folio* hit = LocklessLookup(as, index, *st); hit != nullptr) {
+      lane.Charge(options_.costs.hit_ns);
+      const uint64_t next = std::min(last + 1, hit->index + hit->nr_pages());
+      copier.AddFolio(*hit, index, next);
       // Hit. Metadata updates go to the *owning* cgroup's policy, which may
       // differ from the reader's cgroup (§2.1 cross-cgroup semantics); the
       // notification is buffered and dispatched under the owner's lock at
@@ -1491,6 +1426,8 @@ Status PageCache::Read(Lane& lane, AddressSpace* as, MemCgroup* cg,
       index = std::max(index + 1, next);
       continue;
     }
+    copier.Flush();
+    hit_guard.reset();
 
     // Miss: gather the contiguous run of missing pages within the request.
     uint64_t run_end = index;
@@ -1832,23 +1769,13 @@ Status PageCache::SyncFile(Lane& lane, AddressSpace* as) {
   // Phase 2 — submit outside the stripe in file-offset order, merging
   // contiguous runs into extents. fsync is synchronous by definition, so
   // the CPU cost stays on the calling lane (unlike background flushing).
-  writeback::SortFlushItems(items);
-  size_t i = 0;
-  while (i < items.size()) {
-    size_t j = i;
-    uint64_t run_pages = items[i].nr_pages;
-    while (j + 1 < items.size() &&
-           items[j + 1].index == items[j].index + items[j].nr_pages &&
-           run_pages + items[j + 1].nr_pages <=
-               options_.writeback.max_extent_pages) {
-      ++j;
-      run_pages += items[j].nr_pages;
-    }
+  for (const writeback::FlushExtent& extent :
+       writeback::SortAndCoalesce(items)) {
     const uint64_t completion =
-        ssd_->SubmitWrite(lane.now_ns(), run_pages * kPageSize);
-    lane.Charge(run_pages * options_.costs.writeback_page_ns);
+        ssd_->SubmitWrite(lane.now_ns(), extent.nr_pages * kPageSize);
+    lane.Charge(extent.nr_pages * options_.costs.writeback_page_ns);
     as->NoteWritebackCompletion(completion);
-    for (size_t k = i; k <= j; ++k) {
+    for (size_t k = extent.first_item; k < extent.end_item; ++k) {
       if (CgroupState* owner = StateFor(items[k].folio->memcg);
           owner != nullptr) {
         owner->stats.writeback_pages.fetch_add(items[k].nr_pages,
@@ -1858,13 +1785,13 @@ Status PageCache::SyncFile(Lane& lane, AddressSpace* as) {
       as->wb_seq_done.fetch_add(1, std::memory_order_release);
       items[k].folio->Unpin();
     }
-    i = j + 1;
   }
 
   // Phase 3 — drain: wait for every writeback this fsync depends on (its
   // own plus any in flight on other lanes at snapshot time), then wait out
-  // the device. Single-threaded simulators never spin here (all ticks are
-  // synchronous); MT lanes yield to the flusher threads.
+  // the device. A single lane never spins here (its flush ticks run
+  // inline); with real-thread lanes, another lane's flush tick or fsync
+  // may still be submitting what this one snapshotted, so wait for it.
   while (as->wb_seq_done.load(std::memory_order_acquire) < started) {
     std::this_thread::yield();
   }

@@ -99,20 +99,11 @@ class PageCacheTracer {
 
 struct PageCacheOptions {
   CpuCostModel costs;
-  // Reclaim gives up and OOM-kills the cgroup after this many consecutive
-  // zero-progress rounds (kernel: MAX_RECLAIM_RETRIES-style bound).
-  int max_reclaim_retries = 8;
   // An attached ext policy is forcibly unloaded after this many invalid
   // eviction candidates (the watchdog of §4.4).
   uint64_t watchdog_violation_limit = 128;
   // Readahead cap in pages (doubled by FADV_SEQUENTIAL).
   uint32_t max_readahead_pages = 8;
-  // folio_added/folio_accessed notifications are buffered per operation and
-  // dispatched to the owning cgroup's policies in batches of up to this many
-  // events (drained at reclaim boundaries and operation end), charging one
-  // amortized hook-dispatch cost per batch — the hot-path analogue of the
-  // batch-scoring mode in eviction_list (§4.2.3).
-  uint32_t hook_batch_size = 16;
   // Background reclaim (src/reclaim): watermark-paced reclaimer lanes, the
   // allocator-side watchdog, and the `reclaim.background=false` ablation.
   // Off by default — inline-only direct reclaim, the historical behaviour.
@@ -122,13 +113,6 @@ struct PageCacheOptions {
   // `writeback.background=false` ablation. Off by default — dirty folios
   // are only written back by fsync or at eviction time, inline.
   writeback::WritebackOptions writeback;
-  // Serve read hits lock-free (EBR guard + TryPin + revalidate, the
-  // filemap_get_folio fast path). When false — the `--locked-reads`
-  // ablation — every hit takes the mapping stripe for the full hit service
-  // and the stripe behaves as a serializing resource in virtual time (its
-  // frontier orders the hits of all lanes), modelling what a stripe-locked
-  // hit path costs under contention.
-  bool lockless_reads = true;
 };
 
 // Per-cgroup snapshot of the page cache's counters (the cgroup's own
@@ -285,9 +269,9 @@ class PageCache {
     CgroupState* owner;
     HookEvent event;
   };
-  // Operation-local dispatch ring. Capacity leaves slack above the largest
-  // configurable drain threshold (kMaxEvictionBatch) because a locked drain
-  // can only retire the locked cgroup's entries and must keep the rest.
+  // Operation-local dispatch ring. Capacity leaves slack above the drain
+  // threshold (kHookBatchSize in page_cache.cc) because a locked drain can
+  // only retire the locked cgroup's entries and must keep the rest.
   struct DispatchBatch {
     std::array<PendingHook, 2 * kMaxEvictionBatch> entries;
     uint32_t size = 0;
@@ -301,12 +285,6 @@ class PageCache {
 
   struct alignas(64) Stripe {
     Mutex mu;
-    // Virtual-time frontier of the stripe as a serializing resource: only
-    // the `lockless_reads = false` ablation uses it, making each locked
-    // hit wait (in virtual time) for the previous hit on the same stripe —
-    // the contention a real xa_lock imposes that per-lane virtual clocks
-    // cannot otherwise see. The default lockless mode never touches it.
-    uint64_t frontier_ns CACHE_EXT_GUARDED_BY(mu) = 0;
   };
 
   Stripe& StripeFor(const AddressSpace* as) {
@@ -367,7 +345,7 @@ class PageCache {
   // reclaim). Counted via ext_order_fallbacks when a nonzero request is
   // demoted.
   uint32_t SelectOrder(Lane& lane, CgroupState& st, AddressSpace* as,
-                       uint64_t index, bool is_write, uint32_t nr_wanted)
+                       uint64_t index, uint32_t nr_wanted)
       CACHE_EXT_REQUIRES(st.mu);
 
   // Points pages [from, to) of `folio`, a folio of `as`, at the device's
@@ -465,23 +443,15 @@ class PageCache {
   void BalanceDirtyLocked(Lane& lane, CgroupState& st, DispatchBatch* batch)
       CACHE_EXT_REQUIRES(st.mu);
 
-  // One flusher-lane tick: harvest dirty folios from the cgroup's dirty
-  // files (consulting the policy's should_writeback / writeback_order
-  // hooks), coalesce them into contiguous per-file extents, and submit each
-  // extent on the flusher's own virtual lane. `now_hint_ns` pins the
-  // flusher clock forward to the waker's (0 = none, pool threads).
+  // One flusher-lane tick, run synchronously by the dirtying writer that
+  // woke it (an always-prompt flusher): harvest dirty folios from the
+  // cgroup's dirty files (consulting the policy's should_writeback /
+  // writeback_order hooks), coalesce them into contiguous per-file
+  // extents, and submit each extent on the flusher's own virtual lane —
+  // the cost lands on the flusher's clock, not the writer's. `now_hint_ns`
+  // pins the flusher clock forward to the waker's.
   void FlushTick(CgroupState& st, DispatchBatch* batch, uint64_t now_hint_ns)
       CACHE_EXT_REQUIRES(st.mu);
-
-  // Wake the cgroup's flusher: async condvar kick in threaded mode, a
-  // synchronous virtual-lane tick otherwise (cost lands on the flusher's
-  // clock, not the dirtying writer's).
-  void KickFlusher(Lane& lane, CgroupState& st, DispatchBatch* batch)
-      CACHE_EXT_REQUIRES(st.mu);
-
-  // Flusher pool callback: dirty-check the cgroup without its lock, then
-  // lock and tick.
-  void FlushTickForToken(void* token);
 
   // Readahead: called on a miss at `index`; returns how many extra pages to
   // prefetch after `last_requested`. Consults the ext policy's readahead
@@ -535,11 +505,6 @@ class PageCache {
   // single-threaded simulators. Stopped in ~PageCache before
   // ebr::Synchronize() and policy teardown.
   std::unique_ptr<reclaim::ReclaimerPool> reclaimer_pool_;
-  // Real flusher threads (options_.writeback.use_threads); reuses the
-  // reclaim pool machinery (threads + condvar kick + poll backstop are
-  // identical — only the tick callback differs). Null in the
-  // single-threaded simulators.
-  std::unique_ptr<reclaim::ReclaimerPool> flusher_pool_;
 };
 
 }  // namespace cache_ext

@@ -103,8 +103,7 @@ void CgroupReclaimControl::NoteBatch(uint64_t evicted) {
   }
 }
 
-bool CgroupReclaimControl::NoteEmergencyEntry(uint64_t overshoot_pages,
-                                              const ReclaimOptions& opts) {
+bool CgroupReclaimControl::NoteEmergencyEntry(uint64_t overshoot_pages) {
   counters_.reclaim_emergency_entries.fetch_add(1, std::memory_order_relaxed);
   uint64_t prev =
       counters_.reclaim_max_overshoot_pages.load(std::memory_order_relaxed);
@@ -129,18 +128,16 @@ bool CgroupReclaimControl::NoteEmergencyEntry(uint64_t overshoot_pages,
     if (health() != LaneHealth::kStalled) {
       const uint32_t misses =
           heartbeat_misses_.fetch_add(1, std::memory_order_relaxed) + 1;
-      if (misses < opts.watchdog_misses) {
+      if (misses < kWatchdogMisses) {
         return true;  // give the lane another chance before judging it
       }
-      // Watchdog trip: heartbeat flat across `watchdog_misses` emergency
+      // Watchdog trip: heartbeat flat across kWatchdogMisses emergency
       // entries while the cgroup is over its hard limit.
       health_.store(static_cast<uint8_t>(LaneHealth::kStalled),
                     std::memory_order_relaxed);
       counters_.reclaim_watchdog_trips.fetch_add(1, std::memory_order_relaxed);
-      probe_backoff_.store(opts.probe_backoff_initial,
-                           std::memory_order_relaxed);
-      probe_countdown_.store(opts.probe_backoff_initial,
-                             std::memory_order_relaxed);
+      probe_backoff_.store(kProbeBackoffInitial, std::memory_order_relaxed);
+      probe_countdown_.store(kProbeBackoffInitial, std::memory_order_relaxed);
       return false;
     }
   } else if (health() != LaneHealth::kDead) {
@@ -148,9 +145,8 @@ bool CgroupReclaimControl::NoteEmergencyEntry(uint64_t overshoot_pages,
     health_.store(static_cast<uint8_t>(LaneHealth::kDead),
                   std::memory_order_relaxed);
     counters_.reclaim_watchdog_trips.fetch_add(1, std::memory_order_relaxed);
-    probe_backoff_.store(opts.probe_backoff_initial, std::memory_order_relaxed);
-    probe_countdown_.store(opts.probe_backoff_initial,
-                           std::memory_order_relaxed);
+    probe_backoff_.store(kProbeBackoffInitial, std::memory_order_relaxed);
+    probe_countdown_.store(kProbeBackoffInitial, std::memory_order_relaxed);
     return false;
   }
 
@@ -163,9 +159,8 @@ bool CgroupReclaimControl::NoteEmergencyEntry(uint64_t overshoot_pages,
       return false;  // still backing off
     }
   }
-  const uint32_t backoff =
-      std::min(probe_backoff_.load(std::memory_order_relaxed) * 2,
-               std::max<uint32_t>(opts.probe_backoff_cap, 1));
+  const uint32_t backoff = std::min(
+      probe_backoff_.load(std::memory_order_relaxed) * 2, kProbeBackoffCap);
   probe_backoff_.store(backoff, std::memory_order_relaxed);
   probe_countdown_.store(backoff, std::memory_order_relaxed);
   // Probe: a stall may have healed, so one kick is worth it; a dead lane

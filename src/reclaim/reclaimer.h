@@ -66,16 +66,6 @@ struct ReclaimOptions {
   // the backstop that keeps a cgroup draining even if every allocator
   // gives up kicking a lane it believes stalled.
   uint32_t thread_poll_us = 200;
-  // Batches one BackgroundTick may run before yielding the cgroup lock.
-  uint32_t max_batches_per_tick = 64;
-  // Emergency entries with an unchanged heartbeat before the allocator
-  // watchdog declares the lane stalled (kernel: hung-task style detection).
-  uint32_t watchdog_misses = 3;
-  // Once stalled/dead, re-probe the lane only every Nth emergency entry,
-  // doubling up to the cap — a dead daemon must not add a kick to every
-  // single allocation.
-  uint32_t probe_backoff_initial = 4;
-  uint32_t probe_backoff_cap = 64;
   // Circuit-breaker feed: after this many CONSECUTIVE reclaim rounds where
   // the ext policy proposed nothing usable while the base-policy fallback
   // did evict, latch the watchdog detach (feeding the PR-2 PolicyManager
@@ -143,11 +133,11 @@ class CgroupReclaimControl {
   // Emergency direct-reclaim entry (allocation found the cgroup over its
   // hard limit despite background reclaim). Runs the allocator-side
   // watchdog: compares the lane heartbeat against the last entry, declares
-  // kStalled after `watchdog_misses` unchanged observations, re-probes a
+  // kStalled after kWatchdogMisses unchanged observations, re-probes a
   // stalled lane with exponential backoff. Returns true when kicking the
   // lane (once more) is worthwhile before falling back to inline eviction.
   // Called under the cgroup lock.
-  bool NoteEmergencyEntry(uint64_t overshoot_pages, const ReclaimOptions& opts);
+  bool NoteEmergencyEntry(uint64_t overshoot_pages);
 
   // Direct-reclaim accounting (both the inline-only ablation and the
   // emergency path): `ns` is lane time spent inside direct reclaim (PSI
@@ -208,6 +198,14 @@ class CgroupReclaimControl {
   static constexpr uint32_t kLaneIdBase = 0x6b000000;  // 'k' for kswapd
   static constexpr uint64_t kLaneSeed = 0x6b737764;    // "kswd"
   static constexpr uint64_t kDefaultStallTicks = 8;
+  // Emergency entries with an unchanged heartbeat before the allocator
+  // watchdog declares the lane stalled (kernel: hung-task style detection).
+  static constexpr uint32_t kWatchdogMisses = 3;
+  // Once stalled/dead, re-probe the lane only every Nth emergency entry,
+  // doubling up to the cap — a dead daemon must not add a kick to every
+  // single allocation.
+  static constexpr uint32_t kProbeBackoffInitial = 4;
+  static constexpr uint32_t kProbeBackoffCap = 64;
 
   Lane lane_;
 

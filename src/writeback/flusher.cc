@@ -25,24 +25,24 @@ void SortFlushItems(std::vector<FlushItem>& items) {
             });
 }
 
-std::vector<FlushExtent> SortAndCoalesce(std::vector<FlushItem> items,
+std::vector<FlushExtent> SortAndCoalesce(std::vector<FlushItem>& items,
                                          uint32_t max_extent_pages) {
-  if (max_extent_pages == 0) {
-    max_extent_pages = 1;
-  }
   SortFlushItems(items);
   std::vector<FlushExtent> extents;
-  for (const FlushItem& item : items) {
+  for (size_t i = 0; i < items.size(); ++i) {
+    const FlushItem& item = items[i];
     if (!extents.empty()) {
       FlushExtent& tail = extents.back();
       if (tail.mapping == item.mapping &&
           tail.index + tail.nr_pages == item.index &&
           tail.nr_pages + item.nr_pages <= max_extent_pages) {
         tail.nr_pages += item.nr_pages;
+        tail.end_item = i + 1;
         continue;
       }
     }
-    extents.push_back(FlushExtent{item.mapping, item.index, item.nr_pages});
+    extents.push_back(
+        FlushExtent{item.mapping, item.index, item.nr_pages, i, i + 1});
   }
   return extents;
 }

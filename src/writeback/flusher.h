@@ -17,14 +17,14 @@
 //    analogue) vs `writeback_ns` (lane time actually writing).
 //
 //  - `FlushItem`/`SortAndCoalesce` are the harvest/coalesce step: dirty
-//    folios collected under
-//    the stripe become sort-keyed items, and SortAndCoalesce() merges
-//    contiguous same-file runs into extents so one SubmitWrite covers a
-//    whole run (the block layer's request merging).
+//    folios collected under the stripe become sort-keyed items, and
+//    SortAndCoalesce() merges contiguous same-file runs into extents so one
+//    SubmitWrite covers a whole run (the block layer's request merging).
+//    The flush tick and fsync both submit through it.
 //
-//  - The MT harness reuses reclaim::ReclaimerPool for real flusher threads;
-//    single-threaded simulators tick the lane synchronously at dirtying
-//    sites, which models an always-prompt flusher on its own clock.
+//  - There are no flusher threads: the lane is ticked synchronously at
+//    dirtying sites, which models an always-prompt flusher on its own
+//    clock.
 //
 // Fault points `writeback.stall`, `writeback.lost_wakeup` and
 // `writeback.partial_flush` (armed by the chaos suite) wedge a lane, drop a
@@ -34,6 +34,7 @@
 #define SRC_WRITEBACK_FLUSHER_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <vector>
@@ -56,22 +57,6 @@ struct WritebackOptions {
   // folios are only written back by fsync or at eviction time, inline on
   // the acting lane.
   bool background = false;
-  // Real flusher threads (MT harness). False = virtual lanes: the flusher
-  // is ticked synchronously at dirtying sites in the single-threaded
-  // simulators, charging its work to its own virtual clock.
-  bool use_threads = false;
-  uint32_t nr_threads = 1;
-  // Thread poll period (microseconds of wall time) when no kick arrives —
-  // the backstop that keeps a cgroup draining after a lost wakeup.
-  uint32_t thread_poll_us = 200;
-  // Dirty pages one flush tick may harvest before yielding (the analogue of
-  // MAX_WRITEBACK_PAGES bounding one wb_writeback chunk).
-  uint32_t max_pages_per_tick = 1024;
-  // Upper bound on one coalesced extent, in pages (device request cap).
-  uint32_t max_extent_pages = 256;
-  // Nanoseconds a throttled writer stalls per balance_dirty_pages round
-  // before re-checking the gauge (kernel: ~one pause() of HZ/5 scaled).
-  uint64_t throttle_pause_ns = 200 * 1000;
   // Rounds a single Write may be throttled before it proceeds anyway —
   // bounds writer latency when the device simply cannot keep up.
   uint32_t max_throttle_rounds = 16;
@@ -95,12 +80,18 @@ struct FlushItem {
   Folio* folio = nullptr;
 };
 
-// A contiguous per-file run of harvested pages: one device write.
+// A contiguous per-file run of harvested pages: one device write, covering
+// the sorted items [first_item, end_item).
 struct FlushExtent {
   AddressSpace* mapping = nullptr;
   uint64_t index = 0;
   uint64_t nr_pages = 0;
+  size_t first_item = 0;
+  size_t end_item = 0;
 };
+
+// Upper bound on one coalesced extent, in pages (device request cap).
+inline constexpr uint32_t kMaxExtentPages = 256;
 
 // Sort items by (key, mapping, index): keyed items first in ascending key
 // order, then unkeyed ones (key < 0) in file offset order — a policy keying
@@ -109,10 +100,10 @@ struct FlushExtent {
 // regardless of harvest order.
 void SortFlushItems(std::vector<FlushItem>& items);
 
-// SortFlushItems + merge contiguous same-file runs into extents of at most
-// `max_extent_pages` pages each.
-std::vector<FlushExtent> SortAndCoalesce(std::vector<FlushItem> items,
-                                         uint32_t max_extent_pages);
+// SortFlushItems (in place) + merge contiguous same-file runs into extents
+// of at most `max_extent_pages` pages each.
+std::vector<FlushExtent> SortAndCoalesce(
+    std::vector<FlushItem>& items, uint32_t max_extent_pages = kMaxExtentPages);
 
 // Per-cgroup flusher control block. Mutators on the dirty gauge run from
 // lockless hit paths, so everything is atomic; the dirty-file set has its

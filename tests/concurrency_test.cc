@@ -777,6 +777,56 @@ TEST(ConcurrencyTest, LocklessReadersNeverSeeTornPages) {
   }
 }
 
+// A hit charges only the lane that reads: four real threads hitting one
+// fully resident file, in one cgroup far under its limit, each end on
+// exactly the virtual clock their own sequence gives on one lane alone —
+// whatever the real interleaving was.
+TEST(ConcurrencyTest, HitsNeverMoveAnotherLanesVirtualClock) {
+  constexpr int kThreads = 4;
+  constexpr uint64_t kOps = 2000;
+  auto rig = MakeMtRig(0, "");
+  AddressSpace* as = rig->shared;
+  MemCgroup* cg =
+      rig->pc->CreateCgroup("/hits", 4 * kFilePages * kPageSize);
+  Lane preload(50, TaskContext{50, 50}, 5);
+  std::vector<uint8_t> buf(kPageSize);
+  for (uint64_t p = 0; p < kFilePages; ++p) {
+    ReadAndCheck(*rig, preload, as, cg, 99, p, buf);
+  }
+  ASSERT_GE(as->nr_resident(), kFilePages);
+  const uint64_t misses = cg->stat_misses.load();
+
+  // Lane t's seeded hit sequence, started at the preload's finish time;
+  // returns the lane's final virtual clock.
+  const auto run_lane = [&](int t) {
+    Lane lane(static_cast<uint32_t>(t), TaskContext{100 + t, 100 + t},
+              17 + static_cast<uint64_t>(t));
+    lane.AdvanceTo(preload.now_ns());
+    std::vector<uint8_t> page(kPageSize);
+    uint64_t state = 0x5eed + static_cast<uint64_t>(t) * 977;
+    for (uint64_t i = 0; i < kOps; ++i) {
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      ReadAndCheck(*rig, lane, as, cg, 99, (state >> 33) % kFilePages, page);
+    }
+    return lane.now_ns();
+  };
+  std::vector<uint64_t> alone(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    alone[t] = run_lane(t);
+  }
+  std::vector<uint64_t> together(kThreads);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] { together[t] = run_lane(t); });
+  }
+  for (std::thread& w : workers) w.join();
+
+  EXPECT_EQ(cg->stat_misses.load(), misses);  // every measured read hit
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(together[t], alone[t]) << "lane " << t;
+  }
+}
+
 TEST(ConcurrencyTest, IrHookDispatchStormInterp) {
   IrHookDispatchStorm(bpf::ir::Backend::kInterp);
 }

@@ -94,7 +94,7 @@ TEST(FlushPlanTest, CoalesceMergesContiguousRuns) {
     items.push_back({nullptr, idx, 1, -1, nullptr});
   }
   const std::vector<FlushExtent> extents =
-      writeback::SortAndCoalesce(std::move(items), 256);
+      writeback::SortAndCoalesce(items, 256);
   ASSERT_EQ(extents.size(), 3u);
   EXPECT_EQ(extents[0].index, 0u);
   EXPECT_EQ(extents[0].nr_pages, 4u);  // 0..3
@@ -111,7 +111,7 @@ TEST(FlushPlanTest, CoalesceRespectsExtentCapAcrossFolioSpans) {
       {nullptr, 4, 4, -1, nullptr},
   };
   const std::vector<FlushExtent> extents =
-      writeback::SortAndCoalesce(std::move(items), 8);
+      writeback::SortAndCoalesce(items, 8);
   ASSERT_EQ(extents.size(), 2u);
   EXPECT_EQ(extents[0].index, 0u);
   EXPECT_EQ(extents[0].nr_pages, 8u);  // merged up to the cap

@@ -17,7 +17,12 @@
 #                               # races) + a bench_mt_scaling run (written
 #                               # to build/BENCH_mt_scaling.json) + an
 #                               # ir_lfu-on-every-lane scaling check
-#   tools/check.sh --bench-smoke  # quick bench_table4_noop_overhead,
+#   tools/check.sh --bench-smoke  # three quick runs each of
+#                               # bench_lockless_reads, bench_readahead_order
+#                               # and bench_mt_scaling, which must agree on
+#                               # every virtual (non-"wall") JSON field
+#                               # (tools/check_bench_determinism.py); then
+#                               # quick bench_table4_noop_overhead,
 #                               # bench_local_storage, bench_lockless_reads,
 #                               # bench_reclaim, bench_readahead_order,
 #                               # bench_writeback and the IR dispatch
@@ -34,6 +39,8 @@
 #                               # binary is on PATH (skipped with a note
 #                               # otherwise — the CI container ships GCC
 #                               # only)
+#
+# The tier-1 build treats compiler warnings as errors.
 #
 # Exits non-zero on the first failing step, so it is safe for CI and for
 # pre-commit use.
@@ -123,7 +130,17 @@ if [[ "$bench_smoke" == 1 ]]; then
   #   ./build/bench/bench_mt_scaling --out bench/baselines/BENCH_mt_scaling.json
   echo "== bench-smoke: build benches (build/) =="
   cmake -B build >/dev/null
-  cmake --build build -j "$jobs" --target bench_table4_noop_overhead bench_local_storage bench_lockless_reads bench_reclaim bench_readahead_order bench_writeback
+  cmake --build build -j "$jobs" --target bench_table4_noop_overhead bench_local_storage bench_lockless_reads bench_reclaim bench_readahead_order bench_writeback bench_mt_scaling
+  echo "== bench-smoke: virtual numbers repeat across runs =="
+  mkdir -p build/bench-determinism
+  for bench in bench_lockless_reads bench_readahead_order bench_mt_scaling; do
+    for run in 1 2 3; do
+      ./build/bench/"$bench" --quick \
+          --out "build/bench-determinism/$bench.$run.json" >/dev/null
+    done
+    python3 tools/check_bench_determinism.py \
+        build/bench-determinism/"$bench".{1,2,3}.json
+  done
   echo "== bench-smoke: bench_table4_noop_overhead vs baseline =="
   ./build/bench/bench_table4_noop_overhead --quick \
       --baseline bench/baselines/BENCH_table4.json --threshold 0.15
@@ -172,8 +189,8 @@ if [[ "$analyze" == 1 ]]; then
   exit 0
 fi
 
-echo "== tier-1: build + ctest (build/) =="
-run_suite build
+echo "== tier-1: build (warnings are errors) + ctest (build/) =="
+run_suite build -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 
 echo "== perfbench: build + perfbench_test (.bench_build/perfbench/) =="
 cmake -S perfbench -B .bench_build/perfbench >/dev/null
