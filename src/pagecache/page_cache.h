@@ -30,11 +30,12 @@
 //
 // Invariants: never two cgroup locks at once, never two stripes at once,
 // stripe is only ever taken *inside* a cgroup lock (never the reverse),
-// and the stripe is never REQUIRED for a hit: the read path's hit check
-// walks the xarray lock-free under an ebr::Guard (filemap_get_folio under
-// rcu_read_lock) and pins the folio with a speculative TryPin, falling
-// back to the locked miss path on any race. Writers (insert, truncate,
-// eviction) keep the stripe.
+// and the stripe is never REQUIRED to find a resident folio: Read, Write
+// and readahead share one walk (WalkFolios, filemap_get_pages) that looks
+// folios up lock-free under an ebr::Guard (filemap_get_folio under
+// rcu_read_lock) and pins each with a speculative TryPin, falling back to
+// the locked miss path on any race. Writers (insert, truncate, eviction)
+// keep the stripe, and so does a write hit's re-point of its pages.
 // Folio lifetime: a folio is only freed by its owning cgroup's RemoveFolio,
 // which — under the stripe — re-checks "still mapped" and *freezes* the pin
 // count (Folio::TryFreeze) so no lockless TryPin can resurrect it, then
@@ -148,7 +149,6 @@ class PageCache {
 
   MemCgroup* CreateCgroup(std::string_view name, uint64_t limit_bytes,
                           BasePolicyKind base = BasePolicyKind::kDefaultLru);
-  MemCgroup* FindCgroup(std::string_view name);
 
   // Opens `name` on the disk (creating it if absent) and returns its
   // address space. Address spaces are process-global, like the kernel's.
@@ -168,7 +168,6 @@ class PageCache {
   // StatsFor(cg) next to the watchdog counters it reacts to.
   void SetQuarantineInfo(MemCgroup* cg, bool quarantined, bool banned,
                          uint32_t reattach_attempts);
-  ReclaimPolicy* base_policy(MemCgroup* cg);
 
   void SetTracer(PageCacheTracer* tracer) { tracer_ = tracer; }
 
@@ -270,8 +269,8 @@ class PageCache {
     HookEvent event;
   };
   // Operation-local dispatch ring. Capacity leaves slack above the drain
-  // threshold (kHookBatchSize in page_cache.cc) because a locked drain can
-  // only retire the locked cgroup's entries and must keep the rest.
+  // threshold (kHookBatchSize in swap.cc) because a locked drain can only
+  // retire the locked cgroup's entries and must keep the rest.
   struct DispatchBatch {
     std::array<PendingHook, 2 * kMaxEvictionBatch> entries;
     uint32_t size = 0;
@@ -302,9 +301,12 @@ class PageCache {
   //
   // Append charges the per-event policy costs (using the lock-free hints)
   // and runs the tracer inline; the policy calls themselves are deferred.
-  // `locked` is the cgroup lock the caller currently holds (nullptr if
-  // none): a full ring drains through DrainLocked for that cgroup instead
-  // of Drain, which would self-deadlock.
+  // The ring adopts one pin the caller holds on `folio` (a hit hands over
+  // its lookup's), and the caller must not touch the folio afterwards: a
+  // full ring may drain and unpin it at once. `locked` is the cgroup lock
+  // the caller currently holds (nullptr if none): a full ring drains
+  // through DrainLocked for that cgroup instead of Drain, which would
+  // self-deadlock.
   void Append(Lane& lane, DispatchBatch& batch, CgroupState* owner,
               Folio* folio, HookEvent event, CgroupState* locked);
   // Dispatch every buffered event, taking each owner's lock in turn (the
@@ -322,21 +324,77 @@ class PageCache {
   void DispatchRemoved(Lane& lane, CgroupState& st, Folio* folio)
       CACHE_EXT_REQUIRES(st.mu);
 
-  // Insert a folio for (as, index), charged to st's cgroup. Returns the
-  // folio PINNED (caller unpins), or nullptr when the ext admission filter
-  // rejected it (caller services the I/O directly). If another lane
-  // populated the index concurrently, returns that folio pinned with
-  // *already_present = true (its owner may differ from st).
+  // One folio the walk found resident, pinned. It serves the range's pages
+  // [index, end): `index` is the page it was looked up at, which a
+  // multi-order folio may start below, and `end` stops at the range's end.
+  struct WalkHit {
+    Folio* folio;
+    uint64_t index;
+    uint64_t end;
+  };
+  // Lookups per guarded batch of the walk (the kernel's folio_batch).
+  static constexpr size_t kWalkBatch = 16;
+
+  // The one lookup protocol of Read, WriteThrough and Prefetch (the
+  // kernel's filemap_get_pages) over pages [first, last]. Lock-free lookups
+  // (LocklessLookup, counted against `reader`) fill a batch of pinned
+  // folios under one ebr::Guard, and `on_hits(std::span<const WalkHit>)`
+  // runs inside that guard and takes over their pins. A page found missing
+  // is not looked up again: the rest of its contiguous missing run is
+  // gathered under the stripe, and `on_miss(index, run_end)` returns the
+  // next page to look up (Expected<uint64_t>), or an error that ends the
+  // walk. The walk also ends, with ResourceExhausted, once `reader` is
+  // OOM-killed.
+  template <typename OnHits, typename OnMiss>
+  Status WalkFolios(AddressSpace* as, CgroupState& reader, uint64_t first,
+                    uint64_t last, OnHits&& on_hits, OnMiss&& on_miss);
+
+  // Which operation missed (the admission hook's is_write).
+  enum class MissKind : uint8_t { kRead, kWrite, kReadahead };
+
+  // Under the stripe: the first resident page of [from, last], or last + 1.
+  uint64_t MissingUntil(AddressSpace* as, uint64_t from, uint64_t last);
+
+  // The miss-run loop the three share: inserts a folio at each missing
+  // page from `index` up to `wanted_end` in turn (the walk's run
+  // [index, run_end] is known missing; past it each further run is
+  // gathered again), and hands `on_page(page, folio)` the new folio PINNED
+  // (it must unpin it) or nullptr for a page the admission filter denied;
+  // each page handed over is a miss for the caller to count. Stops at a
+  // resident page, at a page another lane inserted first (the walk then
+  // finds it as a hit) and once the cgroup is OOM-killed; returns the page
+  // after the last one handled. admit_order hears that the pages up to
+  // `wanted_end` are wanted.
+  template <typename OnPage>
+  uint64_t FillMissRun(Lane& lane, AddressSpace* as, CgroupState& st,
+                       DispatchBatch& batch, MissKind kind, uint64_t index,
+                       uint64_t run_end, uint64_t wanted_end,
+                       OnPage&& on_page) CACHE_EXT_REQUIRES(st.mu);
+
+  // The entry and exit Read and WriteThrough share: argument and OOM
+  // checks, the task and syscall charge, then `body(CgroupState&,
+  // DispatchBatch&, first, last)` over the pages of [offset, offset + len)
+  // and one drain of the ring whatever it returns.
+  template <typename Body>
+  Status DataOp(Lane& lane, AddressSpace* as, MemCgroup* cg, uint64_t offset,
+                size_t len, Body&& body);
+
+  // Insert a folio for (as, index), a page the walk has just found
+  // missing, charged to st's cgroup. Returns the folio PINNED (caller
+  // unpins), or nullptr when the ext admission filter rejected it (caller
+  // services the I/O directly) or when another lane mapped the index first:
+  // then it sets *raced, which the caller initialises to false (the
+  // re-check under the stripe finds that after the admission hook ran).
   //
-  // `nr_wanted` is how many further contiguous pages the caller's miss run
-  // still wants (>= 1, counting `index`); it seeds the admit_order hook so
-  // a policy can match the folio order to the stream. The inserted folio
-  // may span [index, index + 2^order) — callers advance by
-  // folio->nr_pages(), not by 1.
+  // `nr_wanted` is how many further contiguous pages the caller still
+  // wants (>= 1, counting `index`); it seeds the admit_order hook so a
+  // policy can match the folio order to the stream. The inserted folio may
+  // span [index, index + 2^order) — callers advance by folio->nr_pages(),
+  // not by 1.
   Folio* InsertFolio(Lane& lane, AddressSpace* as, CgroupState& st,
-                     uint64_t index, bool is_write, bool via_readahead,
-                     DispatchBatch& batch, bool* already_present,
-                     uint32_t nr_wanted = 1) CACHE_EXT_REQUIRES(st.mu);
+                     uint64_t index, MissKind kind, DispatchBatch& batch,
+                     bool* raced, uint32_t nr_wanted)
+      CACHE_EXT_REQUIRES(st.mu);
 
   // Order selection for an admission at `index`: dispatch the ext policy's
   // admit_order hook, then fall back to 0 on misalignment, span conflicts
@@ -462,6 +520,9 @@ class PageCache {
   uint32_t ReadaheadWindow(Lane& lane, CgroupState& st, AddressSpace* as,
                            uint64_t index, uint32_t nr_requested)
       CACHE_EXT_REQUIRES(st.mu);
+  // Reads ahead the missing pages of [first_index, first_index + nr_pages)
+  // (nr_pages > 0) as one asynchronous device read; resident pages and
+  // pages the admission filter denies are skipped.
   void Prefetch(Lane& lane, AddressSpace* as, CgroupState& st,
                 uint64_t first_index, uint32_t nr_pages, DispatchBatch& batch)
       CACHE_EXT_REQUIRES(st.mu);

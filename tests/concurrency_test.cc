@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -774,6 +775,102 @@ TEST(ConcurrencyTest, LocklessReadersNeverSeeTornPages) {
         rig->disk.ReadAt(as->file(), p * kPageSize, std::span(device)).ok());
     EXPECT_EQ(cached, device) << "page " << p;
     EXPECT_EQ(cached[0], last_gen[p]) << "page " << p;
+  }
+}
+
+// Three writers race whole-page writes of their own byte over 16 resident
+// pages while a reader checks no page it reads is torn. A write publishes
+// to the device first and then re-points the cached page at the device's
+// current bytes under the stripe, so however two writes to one page
+// interleave, the cache ends on what the device holds. The writers meet at
+// a barrier every two writes, which lines their next writes up in time,
+// and with every writer parked there each cached page must equal the
+// device's.
+TEST(ConcurrencyTest, RacingWritersConvergeOnTheDevice) {
+  constexpr uint64_t kHotPages = 16;
+  constexpr int kWriters = 3;
+  constexpr uint32_t kRounds = 1500;
+  constexpr uint32_t kWritesPerRound = 2;
+  auto rig = MakeMtRig(0, "");
+  AddressSpace* as = rig->shared;
+  // Far above the hot set: the written pages stay resident.
+  MemCgroup* cg = rig->pc->CreateCgroup("/racing", kFilePages * kPageSize);
+  Lane preload(50, TaskContext{50, 50}, 5);
+  std::vector<uint8_t> buf(kPageSize);
+  for (uint64_t p = 0; p < kHotPages; ++p) {
+    ReadAndCheck(*rig, preload, as, cg, 99, p, buf);
+  }
+
+  Lane checker(30, TaskContext{430, 430}, 93);
+  std::vector<uint8_t> device(kPageSize);
+  uint64_t diverged = 0;
+  std::barrier round(kWriters, [&]() noexcept {
+    for (uint64_t p = 0; p < kHotPages; ++p) {
+      const bool read =
+          rig->pc->Read(checker, as, cg, p * kPageSize, std::span(buf)).ok();
+      diverged += !read ||
+                  !rig->disk.ReadAt(as->file(), p * kPageSize,
+                                    std::span(device))
+                       .ok() ||
+                  buf != device;
+    }
+  });
+  std::atomic<int> writing{kWriters};
+  std::atomic<uint64_t> pages_read{0};
+  std::atomic<uint64_t> torn{0};
+  std::thread reader([&] {
+    Lane lane(20, TaskContext{420, 420}, 91);
+    std::vector<uint8_t> two(2 * kPageSize);
+    uint64_t state = 0x5eed;
+    while (writing.load(std::memory_order_relaxed) > 0) {
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      const uint64_t p = (state >> 33) % (kHotPages - 1);
+      if (!rig->pc->Read(lane, as, cg, p * kPageSize, std::span(two)).ok()) {
+        ADD_FAILURE() << "read of page " << p << " failed";
+        break;
+      }
+      for (size_t half = 0; half < 2; ++half) {
+        const uint8_t* page = two.data() + half * kPageSize;
+        torn += std::memcmp(page, page + 1, kPageSize - 1) != 0;
+      }
+      pages_read.fetch_add(2, std::memory_order_relaxed);
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      Lane lane(static_cast<uint32_t>(10 + w), TaskContext{410 + w, 410 + w},
+                101 + static_cast<uint64_t>(w));
+      const std::vector<uint8_t> page(kPageSize,
+                                      static_cast<uint8_t>(0xA0 + w));
+      uint64_t state = 0xbeef + static_cast<uint64_t>(w);
+      for (uint32_t r = 0; r < kRounds; ++r) {
+        // A round's first write goes to the page the three writers share
+        // that round, so their writes to it race head-on; the second goes
+        // to a page each picks at random.
+        for (uint32_t i = 0; i < kWritesPerRound; ++i) {
+          state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+          const uint64_t p =
+              i == 0 ? (r * 7) % kHotPages : (state >> 33) % kHotPages;
+          EXPECT_TRUE(
+              rig->pc->Write(lane, as, cg, p * kPageSize, std::span(page))
+                  .ok());
+        }
+        round.arrive_and_wait();
+      }
+      writing.fetch_sub(1, std::memory_order_relaxed);
+    });
+  }
+  for (std::thread& t : writers) {
+    t.join();
+  }
+  reader.join();
+
+  EXPECT_EQ(torn.load(), 0u);
+  EXPECT_GT(pages_read.load(), 0u);
+  EXPECT_EQ(diverged, 0u) << "cached pages that differed from the device";
+  for (uint64_t p = 0; p < kHotPages; ++p) {
+    EXPECT_NE(as->FindFolio(p), nullptr) << "page " << p << " was evicted";
   }
 }
 

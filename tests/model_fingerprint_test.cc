@@ -1,6 +1,7 @@
 // Model fingerprints: reduced-scale, single-threaded runs of the benchmark's
-// gated workloads and of Fig. 6, each summarised as one line of every count,
-// virtual clock and device byte the run produced, and compared with
+// gated workloads, of Fig. 6 and of an op mix that takes every data-path
+// branch, each summarised as one line of every count, virtual clock and
+// device byte the run produced, and compared with
 // tests/golden/model_fingerprints.txt.
 //
 // Virtual time is deterministic (DESIGN.md §4), so a change that keeps the
@@ -8,9 +9,10 @@
 // shows which configurations moved and by how much. Each line records:
 //  - every CgroupCacheStats field but the wall-clock ext_ir_jit_ns, and the
 //    cgroup's own counters;
-//  - the client lane clocks (KV and random-read runs) or the runner's
+//  - the client lane clocks (KV, random-read and mix runs) or the runner's
 //    virtual duration and latency percentiles (Fig. 6 arms);
-//  - a log2 histogram of per-op virtual latency (KV and random-read runs);
+//  - a log2 histogram of per-op virtual latency (KV, random-read and mix
+//    runs);
 //  - the SSD model's totals;
 //  - an FNV-1a hash of every SimDisk file.
 //
@@ -21,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cinttypes>
 #include <cstdio>
@@ -30,6 +33,7 @@
 #include <map>
 #include <memory>
 #include <ostream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -103,15 +107,16 @@ void AddCacheStats(Line& line, const CgroupCacheStats& stats) {
   line.Add("reclaim_health", static_cast<uint64_t>(stats.reclaim_health));
 }
 
-void AddCgroup(Line& line, const MemCgroup& cg) {
-  line.Add("cg_insertions", cg.stat_insertions.load());
-  line.Add("cg_hits", cg.stat_hits.load());
-  line.Add("cg_misses", cg.stat_misses.load());
-  line.Add("cg_evictions", cg.stat_evictions.load());
-  line.Add("cg_refaults", cg.stat_refaults.load());
-  line.Add("cg_activations", cg.stat_activations.load());
-  line.Add("cg_oom_events", cg.stat_oom_events.load());
-  line.Add("cg_charged_pages", cg.charged_pages());
+void AddCgroup(Line& line, const MemCgroup& cg,
+               const std::string& prefix = "cg_") {
+  line.Add(prefix + "insertions", cg.stat_insertions.load());
+  line.Add(prefix + "hits", cg.stat_hits.load());
+  line.Add(prefix + "misses", cg.stat_misses.load());
+  line.Add(prefix + "evictions", cg.stat_evictions.load());
+  line.Add(prefix + "refaults", cg.stat_refaults.load());
+  line.Add(prefix + "activations", cg.stat_activations.load());
+  line.Add(prefix + "oom_events", cg.stat_oom_events.load());
+  line.Add(prefix + "charged_pages", cg.charged_pages());
 }
 
 void AddSsd(Line& line, const SsdModel& ssd) {
@@ -170,20 +175,32 @@ void AddDiskHash(Line& line, SimDisk& disk) {
   line.AddHex("disk_fnv1a", hash);
 }
 
+void Fnv1a(uint64_t& hash, std::span<const uint8_t> bytes) {
+  for (uint8_t b : bytes) {
+    hash = (hash ^ b) * 0x100000001b3ULL;
+  }
+}
+
 uint64_t ValueHash(std::string_view value) {
   uint64_t hash = 0xcbf29ce484222325ULL;
-  for (char c : value) {
-    hash = (hash ^ static_cast<uint8_t>(c)) * 0x100000001b3ULL;
-  }
+  Fnv1a(hash, std::span(reinterpret_cast<const uint8_t*>(value.data()),
+                        value.size()));
   return hash;
 }
 
 // The policy load path perfbench uses: build, verify, Init, attach.
-void AttachVerified(harness::Env& env, MemCgroup* cg, std::string_view name) {
+// `adjust` may edit the policy's ops before they are verified.
+void AttachVerified(harness::Env& env, MemCgroup* cg, std::string_view name,
+                    const std::vector<int32_t>& filter_tids = {},
+                    void (*adjust)(Ops&) = nullptr) {
   policies::PolicyParams params;
   params.capacity_pages = cg->limit_pages();
+  params.filter_tids = filter_tids;
   auto bundle = policies::MakePolicy(name, params);
   ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+  if (adjust != nullptr) {
+    adjust(bundle->ops);
+  }
   ASSERT_TRUE(CacheExtLoader::Verify(bundle->ops).ok());
   auto adapter = std::make_unique<CacheExtPolicy>(
       std::move(bundle->ops), cg, env.cache().options().costs);
@@ -345,6 +362,183 @@ void RunRandread(Line& line) {
   AddDiskHash(line, env.disk());
 }
 
+// --- Every branch of the data path, in one seeded op mix --------------------
+//
+// The shapes above only read, and write whole new files: no readahead page,
+// write hit, multi-order folio or admission denial. This mix takes them all:
+// reads and writes of 1-40 pages over three 256-page files in a cgroup a
+// quarter of their size, random and sequential, aligned and not, writes over
+// pages just read, FADV_SEQUENTIAL / RANDOM / WILLNEED / partial DONTNEED,
+// fsync, and a second cgroup's lane (on the same thread) reading pages the
+// first caches. Three lines run the same mix: the base LRU with background
+// reclaim and writeback; ir_readahead (readahead hook, order-2/4 admission);
+// and admission_filter filtering a task the lane takes for a quarter of its
+// ops. Each line also holds an FNV-1a hash of every byte Read returned
+// (read_fnv1a) and the written pages resident just before their write
+// (write_hit_pages); `failed` counts reads that differ from a shadow copy.
+
+enum class MixPolicy { kBaseLru, kReadahead, kAdmissionFilter };
+
+constexpr uint64_t kMixFiles = 3;
+constexpr uint64_t kMixFilePages = 256;
+constexpr uint64_t kMixOps = 2000;
+constexpr uint64_t kMixMaxPages = 40;
+constexpr TaskContext kMixTask{100, 101};
+constexpr TaskContext kMixFilteredTask{100, 102};
+
+void RunMix(MixPolicy policy, Line& line) {
+  harness::EnvOptions options;
+  options.cache.reclaim.background = policy == MixPolicy::kBaseLru;
+  options.cache.writeback.background = policy == MixPolicy::kBaseLru;
+  harness::Env env(options);
+  MemCgroup* cg =
+      env.CreateCgroup("mix", kMixFiles * kMixFilePages * kPageSize / 4);
+  MemCgroup* other = env.CreateCgroup("mix_other", 64 * kPageSize);
+  ASSERT_NE(cg, nullptr);
+  ASSERT_NE(other, nullptr);
+  std::vector<std::vector<uint8_t>> shadow(kMixFiles);
+  std::vector<AddressSpace*> files;
+  for (uint64_t f = 0; f < kMixFiles; ++f) {
+    shadow[f].resize(kMixFilePages * kPageSize);
+    for (uint64_t p = 0; p < kMixFilePages; ++p) {
+      FillPage(f * kMixFilePages + p, shadow[f].data() + p * kPageSize);
+    }
+    const std::string name = "mix" + std::to_string(f) + ".dat";
+    auto id = env.disk().Create(name);
+    ASSERT_TRUE(id.ok());
+    ASSERT_TRUE(env.disk().WriteAt(*id, 0, shadow[f]).ok());
+    auto as = env.cache().OpenFile(name);
+    ASSERT_TRUE(as.ok());
+    files.push_back(*as);
+  }
+  Lane lane(1, kMixTask, Mix64(kSeed ^ (4ull << 32)));
+  Lane other_lane(2, TaskContext{200, 201}, Mix64(kSeed ^ (5ull << 32)));
+  lane.AdvanceTo(env.ssd().FrontierNs());
+  other_lane.AdvanceTo(env.ssd().FrontierNs());
+  if (policy == MixPolicy::kReadahead) {
+    AttachVerified(env, cg, "ir_readahead");
+  } else if (policy == MixPolicy::kAdmissionFilter) {
+    // The stock filter admits every write (compaction output stays
+    // cached); denying the filtered task's writes too runs the uncached
+    // write path.
+    AttachVerified(env, cg, "admission_filter", {kMixFilteredTask.tid},
+                   [](Ops& ops) {
+                     ops.admit_folio = [admit = ops.admit_folio](
+                                           CacheExtApi& api,
+                                           const AdmissionCtx& ctx) {
+                       return admit(api, ctx) &&
+                              !(ctx.is_write &&
+                                ctx.tid == kMixFilteredTask.tid);
+                     };
+                   });
+  }
+  ASSERT_TRUE(env.cache()
+                  .FadviseRange(lane, files[1], cg, Fadvise::kSequential, 0, 0)
+                  .ok());
+  ASSERT_TRUE(
+      env.cache().FadviseRange(lane, files[2], cg, Fadvise::kRandom, 0, 0).ok());
+
+  Rng rng(Mix64(kSeed ^ 0x313ULL));
+  std::vector<uint64_t> read_first(kMixFiles, 0);  // each file's last read
+  std::vector<uint64_t> read_end(kMixFiles, 0);
+  std::vector<uint8_t> buf((kMixMaxPages + 1) * kPageSize);
+  std::vector<uint64_t> latencies;
+  uint64_t read_hash = 0xcbf29ce484222325ULL;
+  uint64_t write_hit_pages = 0;
+  uint64_t failed = 0;
+  uint64_t errors = 0;
+  // Reads [offset, offset + len) of file f on `l` for `c`, checks the bytes
+  // against the shadow and hashes them.
+  const auto read = [&](Lane& l, MemCgroup* c, uint64_t f, uint64_t offset,
+                        uint64_t len) {
+    const std::span<uint8_t> out(buf.data(), len);
+    if (!env.cache().Read(l, files[f], c, offset, out).ok()) {
+      ++errors;
+      return;
+    }
+    failed += std::memcmp(out.data(), shadow[f].data() + offset, len) != 0;
+    Fnv1a(read_hash, out);
+  };
+  for (uint64_t n = 0; n < kMixOps; ++n) {
+    const uint64_t f = rng.NextU64Below(kMixFiles);
+    AddressSpace* as = files[f];
+    lane.set_task(rng.NextBool(0.25) ? kMixFilteredTask : kMixTask);
+    const uint64_t kind = rng.NextU64Below(100);
+    const uint64_t pages = 1 + rng.NextU64Below(kMixMaxPages);
+    const bool unaligned = rng.NextBool(0.3);
+    const uint64_t start = lane.now_ns();
+    Status status = OkStatus();
+    if (kind < 40) {
+      // Half the reads continue where the file's last read ended.
+      uint64_t first = rng.NextBool(0.5)
+                           ? read_end[f]
+                           : rng.NextU64Below(kMixFilePages);
+      if (first + pages > kMixFilePages) {
+        first = kMixFilePages - pages;
+      }
+      const uint64_t skew = unaligned ? rng.NextU64Below(kPageSize) : 0;
+      read(lane, cg, f, first * kPageSize + skew, pages * kPageSize - skew);
+      read_first[f] = first;
+      read_end[f] = first + pages == kMixFilePages ? 0 : first + pages;
+    } else if (kind < 65) {
+      // A third of the writes land on the pages the file's last read
+      // covered.
+      uint64_t first = rng.NextBool(0.33) ? read_first[f]
+                                          : rng.NextU64Below(kMixFilePages);
+      if (first + pages > kMixFilePages) {
+        first = kMixFilePages - pages;
+      }
+      // An unaligned write starts and ends inside a page.
+      const uint64_t skew = unaligned ? rng.NextU64Below(kPageSize / 2) : 0;
+      const uint64_t offset = first * kPageSize + skew;
+      const uint64_t len = (first + pages) * kPageSize - offset -
+                           (unaligned ? rng.NextU64Below(kPageSize / 2) : 0);
+      for (uint64_t p = offset / kPageSize; p <= (offset + len - 1) / kPageSize;
+           ++p) {
+        write_hit_pages += as->FindFolio(p) != nullptr;
+      }
+      std::vector<uint8_t> data(len);
+      for (uint64_t i = 0; i < len; ++i) {
+        data[i] = static_cast<uint8_t>(n * 31 + i * 7);
+      }
+      std::memcpy(shadow[f].data() + offset, data.data(), len);
+      status = env.cache().Write(lane, as, cg, offset, data);
+    } else if (kind < 72) {
+      status = env.cache().FadviseRange(
+          lane, as, cg, Fadvise::kWillNeed,
+          rng.NextU64Below(kMixFilePages) * kPageSize, pages * kPageSize);
+    } else if (kind < 80) {
+      // A few pages from anywhere: mostly a part of a multi-order folio.
+      status = env.cache().FadviseRange(
+          lane, as, cg, Fadvise::kDontNeed,
+          rng.NextU64Below(kMixFilePages) * kPageSize,
+          (1 + pages % 6) * kPageSize);
+    } else if (kind < 84) {
+      status = env.cache().SyncFile(lane, as);
+    } else {
+      // The other cgroup reads inside file 0's last read: cross-cgroup hits.
+      const uint64_t first =
+          std::min(read_first[0] + pages % 8, kMixFilePages - 8);
+      read(other_lane, other, 0, first * kPageSize, (1 + pages % 8) * kPageSize);
+    }
+    errors += !status.ok();
+    latencies.push_back(lane.now_ns() - start);
+  }
+  line.Add("ops", latencies.size());
+  line.Add("failed", failed);
+  line.Add("errors", errors);
+  line.AddHex("read_fnv1a", read_hash);
+  line.Add("write_hit_pages", write_hit_pages);
+  line.Add("lane_ns", lane.now_ns());
+  line.Add("other_lane_ns", other_lane.now_ns());
+  AddLatencies(line, latencies);
+  AddCgroup(line, *other, "other_cg_");
+  AddCgroup(line, *cg);
+  AddCacheStats(line, env.cache().StatsFor(cg));
+  AddSsd(line, env.ssd());
+  AddDiskHash(line, env.disk());
+}
+
 // --- Fig. 6, reduced ---------------------------------------------------------
 //
 // bench_fig6_ycsb's arm (bench/bench_common.cc RunYcsbArm): a fresh env with
@@ -465,6 +659,21 @@ std::vector<Config> AllConfigs() {
                      ""});
   configs.push_back({"pc_randread_miss_small",
                      [](const Config&, Line& line) { RunRandread(line); },
+                     ""});
+  configs.push_back({"mix_base_lru",
+                     [](const Config&, Line& line) {
+                       RunMix(MixPolicy::kBaseLru, line);
+                     },
+                     ""});
+  configs.push_back({"mix_ir_readahead",
+                     [](const Config&, Line& line) {
+                       RunMix(MixPolicy::kReadahead, line);
+                     },
+                     ""});
+  configs.push_back({"mix_admission_filter",
+                     [](const Config&, Line& line) {
+                       RunMix(MixPolicy::kAdmissionFilter, line);
+                     },
                      ""});
   for (const auto& [workload, tag] :
        {std::pair{workloads::YcsbWorkload::kA, "a"},

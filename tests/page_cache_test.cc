@@ -337,6 +337,45 @@ TEST_F(PageCacheTest, OomKillsWhenNothingReclaimable) {
   folio1->Unpin();
 }
 
+// An OOM-killed cgroup gets no new pages from FADV_WILLNEED either: like
+// Read and Write, the hint fails with ResourceExhausted and inserts
+// nothing (reclaim does nothing for a killed cgroup, so pages charged here
+// would stay over the limit for good).
+TEST_F(PageCacheTest, FadvWillNeedOnOomKilledCgroupInsertsNothing) {
+  MemCgroup* tiny = pc_->CreateCgroup("/tiny", 2 * kPageSize);
+  Lane lane = MakeLane();
+  auto as = pc_->OpenFile("/pinned");
+  ASSERT_TRUE(as.ok());
+  ASSERT_TRUE(disk_.Truncate((*as)->file(), 64 * kPageSize).ok());
+  ASSERT_TRUE(
+      pc_->FadviseRange(lane, *as, tiny, Fadvise::kRandom, 0, 0).ok());
+  std::vector<uint8_t> buf(kPageSize);
+  std::vector<Folio*> pinned;
+  Status status = OkStatus();
+  for (uint64_t i = 0; i < 32 && status.ok(); ++i) {
+    status = pc_->Read(lane, *as, tiny, i * kPageSize, std::span<uint8_t>(buf));
+    if (Folio* folio = (*as)->FindFolio(i); folio != nullptr && i < 2) {
+      folio->Pin();  // nothing reclaimable once both pages are pinned
+      pinned.push_back(folio);
+    }
+  }
+  ASSERT_EQ(status.code(), ErrorCode::kResourceExhausted);
+  ASSERT_TRUE(pc_->StatsFor(tiny).oom_killed);
+  const uint64_t charged = tiny->charged_pages();
+  const uint64_t resident = (*as)->nr_resident();
+
+  EXPECT_EQ(pc_->FadviseRange(lane, *as, tiny, Fadvise::kWillNeed,
+                              8 * kPageSize, 32 * kPageSize)
+                .code(),
+            ErrorCode::kResourceExhausted);
+  EXPECT_EQ(tiny->charged_pages(), charged);
+  EXPECT_EQ((*as)->nr_resident(), resident);
+  EXPECT_EQ(pc_->StatsFor(tiny).readahead_pages, 0u);
+  for (Folio* folio : pinned) {
+    folio->Unpin();
+  }
+}
+
 // A gifted write reaches the device without a copy, and the folios the
 // write inserts share the device's run: each byte lives in one place. A
 // later write re-points only the cached page it covers.

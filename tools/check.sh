@@ -14,9 +14,10 @@
 #                               # (concurrency_test — incl. the IR hook
 #                               # dispatch storms on both backends — +
 #                               # ebr_test + reclaim_test's reclaimer-thread
-#                               # races) + a bench_mt_scaling run (written
-#                               # to build/BENCH_mt_scaling.json) + an
-#                               # ir_lfu-on-every-lane scaling check
+#                               # races), the model fingerprints against
+#                               # the same golden file, + a bench_mt_scaling
+#                               # run (written to build/BENCH_mt_scaling.json)
+#                               # + an ir_lfu-on-every-lane scaling check
 #   tools/check.sh --bench-smoke  # three quick runs each of
 #                               # bench_lockless_reads, bench_readahead_order
 #                               # and bench_mt_scaling, which must agree on
@@ -91,13 +92,16 @@ if [[ "$tsan" == 1 ]]; then
   # The concurrent page cache / sharded bpf maps under ThreadSanitizer: the
   # real-thread stress tests (tests/concurrency_test.cc) must be race-free.
   # Everything else in the suite is single-threaded, so only the MT tests
-  # run here; halt_on_error makes any report fail the gate.
+  # run here; halt_on_error makes any report fail the gate. The model
+  # fingerprints run too: the instrumented build must reproduce every line
+  # of tests/golden/model_fingerprints.txt.
   echo "== tsan: ThreadSanitizer build + MT stress tests (build-tsan/) =="
   cmake -B build-tsan -DCACHE_EXT_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j "$jobs" --target concurrency_test ebr_test reclaim_test bench_mt_scaling
+  cmake --build build-tsan -j "$jobs" --target concurrency_test ebr_test reclaim_test model_fingerprint_test bench_mt_scaling
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/concurrency_test
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/ebr_test
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/reclaim_test
+  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/model_fingerprint_test
   echo "== tsan: MT scaling run (regular build) =="
   cmake -B build >/dev/null
   cmake --build build -j "$jobs" --target bench_mt_scaling
