@@ -105,14 +105,6 @@ Expected<cache_ext::Ops> CompileToOps(const IrPolicy& policy,
       exec.Run(Hook::kFolioRefaulted, api, hctx);
     };
   }
-  if (prog.HookPresent(Hook::kRequestPrefetch)) {
-    ops.request_prefetch = [exec](CacheExtApi& api,
-                                  const PrefetchCtx& ctx) -> int64_t {
-      HookCtx hctx;
-      hctx.prefetch = &ctx;
-      return exec.Run(Hook::kRequestPrefetch, api, hctx);
-    };
-  }
   if (prog.HookPresent(Hook::kReadahead)) {
     ops.readahead = [exec](CacheExtApi& api,
                            const ReadaheadCtx& ctx) -> int64_t {

@@ -32,7 +32,6 @@ struct HookCtx {
   Folio* folio = nullptr;
   EvictionCtx* evict = nullptr;
   const AdmissionCtx* admit = nullptr;
-  const PrefetchCtx* prefetch = nullptr;
   const ReadaheadCtx* readahead = nullptr;
   const AdmitOrderCtx* admit_order = nullptr;
   const WritebackCtx* writeback = nullptr;
@@ -114,32 +113,25 @@ inline uint64_t LoadCtxT(const HookCtx& hctx) {
   }
   if constexpr (field == CtxField::kIndex) {
     return hctx.admit          ? hctx.admit->index
-           : hctx.prefetch     ? hctx.prefetch->index
            : hctx.readahead    ? hctx.readahead->index
            : hctx.admit_order  ? hctx.admit_order->index
            : hctx.writeback    ? hctx.writeback->index
                                : 0;
   }
   if constexpr (field == CtxField::kPrevIndex) {
-    return hctx.prefetch       ? hctx.prefetch->prev_index
-           : hctx.readahead    ? hctx.readahead->prev_index
-                               : 0;
+    return hctx.readahead ? hctx.readahead->prev_index : 0;
   }
   if constexpr (field == CtxField::kDefaultWindow) {
-    return hctx.prefetch       ? hctx.prefetch->default_window
-           : hctx.readahead    ? hctx.readahead->default_window
-                               : 0;
+    return hctx.readahead ? hctx.readahead->default_window : 0;
   }
   if constexpr (field == CtxField::kPid) {
     return static_cast<uint64_t>(hctx.admit         ? hctx.admit->pid
-                                 : hctx.prefetch    ? hctx.prefetch->pid
                                  : hctx.readahead   ? hctx.readahead->pid
                                  : hctx.admit_order ? hctx.admit_order->pid
                                                     : 0);
   }
   if constexpr (field == CtxField::kTid) {
     return static_cast<uint64_t>(hctx.admit         ? hctx.admit->tid
-                                 : hctx.prefetch    ? hctx.prefetch->tid
                                  : hctx.readahead   ? hctx.readahead->tid
                                  : hctx.admit_order ? hctx.admit_order->tid
                                                     : 0);

@@ -43,7 +43,7 @@ class IrRuntime {
   const IrPolicy& policy() const { return policy_; }
 
   // Run the hook's program; returns the final R0 (meaningful for
-  // policy_init / admit_folio / request_prefetch).
+  // policy_init / admit_folio / readahead).
   int64_t Execute(verifier::Hook hook, CacheExtApi& api, const HookCtx& hctx);
 
   // Sum of hash probes across this policy's maps (collect_counters).

@@ -100,12 +100,12 @@ enum class CtxField : uint8_t {
   kFolio = 0,      // folio_added/accessed/removed/refaulted: the folio
   kNrRequested,    // evict_folios: candidates requested (<= batch cap);
                    // readahead / admit_order: pages in the faulting run
-  kIndex,          // admit_folio / request_prefetch / readahead /
-                   // admit_order: faulting page index
-  kPrevIndex,      // request_prefetch / readahead: previous read position
-  kDefaultWindow,  // request_prefetch / readahead: the heuristic's window
-  kPid,            // admit_folio / request_prefetch / readahead / admit_order
-  kTid,            // admit_folio / request_prefetch / readahead / admit_order
+  kIndex,          // admit_folio / readahead / admit_order: faulting page
+                   // index
+  kPrevIndex,      // readahead: previous read position
+  kDefaultWindow,  // readahead: the heuristic's window
+  kPid,            // admit_folio / readahead / admit_order
+  kTid,            // admit_folio / readahead / admit_order
   kIsWrite,        // admit_folio / admit_order: 0/1
   kTier,           // folio_refaulted: MGLRU tier recorded at eviction
   kNrPages,        // should_writeback / writeback_order: folio span

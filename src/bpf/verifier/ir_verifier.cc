@@ -257,11 +257,8 @@ std::optional<RegAbs> CtxFieldIn(Hook hook, CtxField field,
   const bool folio_hook =
       hook == Hook::kFolioAdded || hook == Hook::kFolioAccessed ||
       hook == Hook::kFolioRemoved || hook == Hook::kFolioRefaulted;
-  const bool fault_hook =
-      hook == Hook::kAdmitFolio || hook == Hook::kRequestPrefetch ||
-      hook == Hook::kReadahead || hook == Hook::kAdmitOrder;
-  const bool window_hook =
-      hook == Hook::kRequestPrefetch || hook == Hook::kReadahead;
+  const bool fault_hook = hook == Hook::kAdmitFolio ||
+                          hook == Hook::kReadahead || hook == Hook::kAdmitOrder;
   const bool writeback_hook =
       hook == Hook::kShouldWriteback || hook == Hook::kWritebackOrder;
   switch (field) {
@@ -278,10 +275,10 @@ std::optional<RegAbs> CtxFieldIn(Hook hook, CtxField field,
       if (fault_hook || writeback_hook) return FullScalar();
       break;
     case CtxField::kPrevIndex:
-      if (window_hook) return FullScalar();
+      if (hook == Hook::kReadahead) return FullScalar();
       break;
     case CtxField::kDefaultWindow:
-      if (window_hook) {
+      if (hook == Hook::kReadahead) {
         return Scalar(0, std::numeric_limits<uint32_t>::max());
       }
       break;
@@ -315,7 +312,7 @@ std::optional<RegAbs> CtxFieldIn(Hook hook, CtxField field,
 
 // Hooks each kfunc may be called from. list_create allocates policy state
 // and is init-only; list mutation needs a live folio event. This is how
-// "no list_add from request_prefetch" becomes a *derived* fact.
+// "no list_add from readahead" becomes a *derived* fact.
 bool KfuncAllowedInHook(Kfunc kfunc, Hook hook) {
   const bool folio_hook =
       hook == Hook::kFolioAdded || hook == Hook::kFolioAccessed ||
@@ -340,9 +337,8 @@ bool KfuncAllowedInHook(Kfunc kfunc, Hook hook) {
 
 bool HookReturnsValue(Hook hook) {
   return hook == Hook::kPolicyInit || hook == Hook::kAdmitFolio ||
-         hook == Hook::kRequestPrefetch || hook == Hook::kReadahead ||
-         hook == Hook::kAdmitOrder || hook == Hook::kShouldWriteback ||
-         hook == Hook::kWritebackOrder;
+         hook == Hook::kReadahead || hook == Hook::kAdmitOrder ||
+         hook == Hook::kShouldWriteback || hook == Hook::kWritebackOrder;
 }
 
 // -----------------------------------------------------------------------
@@ -1107,10 +1103,9 @@ void HookAnalyzer::CheckExits() {
 void HookAnalyzer::CheckDeadHook() {
   // Only the optional hooks: a required hook is dispatched regardless, but
   // an optional one that provably does nothing only adds dispatch cost.
-  if (hook_ != Hook::kAdmitFolio && hook_ != Hook::kRequestPrefetch &&
-      hook_ != Hook::kFolioRefaulted && hook_ != Hook::kReadahead &&
-      hook_ != Hook::kAdmitOrder && hook_ != Hook::kShouldWriteback &&
-      hook_ != Hook::kWritebackOrder) {
+  if (hook_ != Hook::kAdmitFolio && hook_ != Hook::kFolioRefaulted &&
+      hook_ != Hook::kReadahead && hook_ != Hook::kAdmitOrder &&
+      hook_ != Hook::kShouldWriteback && hook_ != Hook::kWritebackOrder) {
     return;
   }
   if (HasErrors() || side_effect_ || exits_.empty()) {
@@ -1191,8 +1186,8 @@ void HookAnalyzer::CheckDeadHook() {
     }
     return;
   }
-  // request_prefetch / readahead: every exit provably returns a negative
-  // window ("defer to the kernel heuristic").
+  // readahead: every exit provably returns a negative window ("defer to
+  // the kernel heuristic").
   bool always_defer = true;
   for (const ExitInfo& e : exits_) {
     const bool negative = e.r0.kind == RKind::kScalar && e.r0.min == e.r0.max &&
@@ -1233,10 +1228,9 @@ void HookAnalyzer::EmitFindings() {
                "kfunc call sites typed and context-legal: " +
                    kfuncs_.ToString());
   }
-  if (hook_ == Hook::kAdmitFolio || hook_ == Hook::kRequestPrefetch ||
-      hook_ == Hook::kFolioRefaulted || hook_ == Hook::kReadahead ||
-      hook_ == Hook::kAdmitOrder || hook_ == Hook::kShouldWriteback ||
-      hook_ == Hook::kWritebackOrder) {
+  if (hook_ == Hook::kAdmitFolio || hook_ == Hook::kFolioRefaulted ||
+      hook_ == Hook::kReadahead || hook_ == Hook::kAdmitOrder ||
+      hook_ == Hook::kShouldWriteback || hook_ == Hook::kWritebackOrder) {
     log_->Pass(Check::kIrDeadHook, hook_name, "hook has a provable effect");
   }
 }

@@ -22,14 +22,14 @@
 //  - Kfunc contexts (kIrKfuncContext): every call site is checked against
 //    the kfunc's typed signature (scalar vs folio-pointer arguments) and
 //    its allowed hooks (list_create only from policy_init, list mutation
-//    only from folio-event hooks — so e.g. request_prefetch can never
-//    list_add). Kfuncs that acquire the list lock are additionally banned
-//    inside loop bodies: list_iterate already holds that lock, so this is
-//    a static deadlock-freedom proof.
+//    only from folio-event hooks — so e.g. readahead can never list_add).
+//    Kfuncs that acquire the list lock are additionally banned inside loop
+//    bodies: list_iterate already holds that lock, so this is a static
+//    deadlock-freedom proof.
 //  - Map access bounds (kIrMapBounds): map ids valid, value offsets within
 //    the declared value_size, array-map keys provably below max_entries.
 //  - Dead hooks (kIrDeadHook): an optional hook that provably has no
-//    effect (always admits / always defers prefetch / pure no-op) is
+//    effect (always admits / always defers readahead / pure no-op) is
 //    rejected — it would charge dispatch cost for nothing.
 //
 // On success the analysis RETURNS the derived ProgramSpec — worst-case

@@ -34,13 +34,12 @@ enum class Hook : uint8_t {
   kFolioRemoved,
   kAdmitFolio,
   kFolioRefaulted,
-  kRequestPrefetch,
   kReadahead,
   kAdmitOrder,
   kShouldWriteback,
   kWritebackOrder,
 };
-inline constexpr size_t kNumHooks = 12;
+inline constexpr size_t kNumHooks = 11;
 
 inline const char* HookName(Hook hook) {
   switch (hook) {
@@ -58,8 +57,6 @@ inline const char* HookName(Hook hook) {
       return "admit_folio";
     case Hook::kFolioRefaulted:
       return "folio_refaulted";
-    case Hook::kRequestPrefetch:
-      return "request_prefetch";
     case Hook::kReadahead:
       return "readahead";
     case Hook::kAdmitOrder:

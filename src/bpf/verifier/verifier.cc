@@ -97,8 +97,6 @@ bool HookPresent(const cache_ext::Ops& ops, Hook hook) {
       return static_cast<bool>(ops.admit_folio);
     case Hook::kFolioRefaulted:
       return static_cast<bool>(ops.folio_refaulted);
-    case Hook::kRequestPrefetch:
-      return static_cast<bool>(ops.request_prefetch);
     case Hook::kReadahead:
       return static_cast<bool>(ops.readahead);
     case Hook::kAdmitOrder:
@@ -513,15 +511,6 @@ class DryRunner {
       actx.index = folios_.size();
       actx.memcg = &cg_;
       RunHook(Hook::kAdmitFolio, [&] { (void)ops_.admit_folio(api_, actx); });
-    }
-    if (ops_.request_prefetch) {
-      cache_ext::PrefetchCtx pctx;
-      pctx.mapping = &mapping_;
-      pctx.index = 1;
-      pctx.prev_index = 0;
-      pctx.default_window = 4;
-      RunHook(Hook::kRequestPrefetch,
-              [&] { (void)ops_.request_prefetch(api_, pctx); });
     }
     if (ops_.readahead) {
       cache_ext::ReadaheadCtx rctx;

@@ -2,7 +2,7 @@
 //
 // The paper's watchdog is all-or-nothing: enough invalid candidates and the
 // whole policy is unloaded. Real policies usually break in ONE program — an
-// admission filter that aborts, a prefetch hook that exhausts its budget —
+// admission filter that aborts, a readahead hook that exhausts its budget —
 // while the rest keeps earning its hit rate. The breaker therefore tracks a
 // sliding-window violation rate per hook (evict, admit, access, ...): a hook
 // whose recent rate crosses the trip threshold is degraded to the default

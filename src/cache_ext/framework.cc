@@ -126,16 +126,6 @@ bool CacheExtPolicy::AdmitFolio(const AdmissionCtx& ctx) {
   return admit;
 }
 
-int64_t CacheExtPolicy::RequestPrefetch(const PrefetchCtx& ctx) {
-  if (!ops_.request_prefetch || Degraded(PolicyHook::kPrefetch)) {
-    return -1;  // defer to the kernel readahead heuristic
-  }
-  int64_t window = -1;
-  RunProgram(PolicyHook::kPrefetch,
-             [&] { window = ops_.request_prefetch(api_, ctx); });
-  return window;
-}
-
 int64_t CacheExtPolicy::RequestReadahead(const ReadaheadCtx& ctx) {
   if (!ops_.readahead || Degraded(PolicyHook::kReadahead)) {
     return -1;  // defer to the kernel readahead heuristic (window <= 8)

@@ -49,7 +49,6 @@ class CacheExtPolicy : public ReclaimPolicy {
   void FolioRemoved(Folio* folio) override;
   void EvictFolios(EvictionCtx* ctx, MemCgroup* memcg) override;
   bool AdmitFolio(const AdmissionCtx& ctx) override;
-  int64_t RequestPrefetch(const PrefetchCtx& ctx) override;
   int64_t RequestReadahead(const ReadaheadCtx& ctx) override;
   uint32_t AdmitOrder(const AdmitOrderCtx& ctx) override;
   bool ShouldWriteback(const WritebackCtx& ctx) override;

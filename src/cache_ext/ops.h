@@ -57,14 +57,10 @@ struct Ops {
   // Optional hooks.
   std::function<bool(CacheExtApi&, const AdmissionCtx&)> admit_folio;
   std::function<void(CacheExtApi&, Folio*, uint32_t)> folio_refaulted;
-  // Prefetch-policy extension (§7, FetchBPF-style): pages to prefetch after
-  // a miss; negative = defer to the kernel readahead heuristic. Legacy
-  // per-page form — new policies should implement `readahead` instead.
-  std::function<int64_t(CacheExtApi&, const PrefetchCtx&)> request_prefetch;
-  // Readahead window per miss run (ondemand_readahead analogue): pages to
-  // read ahead, 0 to suppress readahead, negative to defer to the kernel
-  // heuristic (which falls back to request_prefetch for compat). Clamped
-  // to PageCacheOptions::max_readahead_pages.
+  // Readahead window per miss run (ondemand_readahead analogue, the §7
+  // FetchBPF-style prefetch extension): pages to read ahead, 0 to suppress
+  // readahead, negative to defer to the kernel heuristic. Clamped to
+  // PageCacheOptions::max_readahead_pages.
   std::function<int64_t(CacheExtApi&, const ReadaheadCtx&)> readahead;
   // Folio allocation order for an admission: 0 | 2 | 4. Any other return
   // is a violation (breaker-counted, treated as 0); the page cache also

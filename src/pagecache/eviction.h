@@ -34,14 +34,13 @@ enum class PolicyHook : uint32_t {
   kAccess,
   kAdded,
   kRemoved,
-  kPrefetch,
   kRefault,
   kReadahead,
   kOrder,
   kShouldWriteback,
   kWritebackOrder,
 };
-inline constexpr uint32_t kNumPolicyHooks = 11;
+inline constexpr uint32_t kNumPolicyHooks = 10;
 
 constexpr std::string_view PolicyHookName(PolicyHook hook) {
   switch (hook) {
@@ -50,7 +49,6 @@ constexpr std::string_view PolicyHookName(PolicyHook hook) {
     case PolicyHook::kAccess:    return "access";
     case PolicyHook::kAdded:     return "added";
     case PolicyHook::kRemoved:   return "removed";
-    case PolicyHook::kPrefetch:  return "prefetch";
     case PolicyHook::kRefault:   return "refault";
     case PolicyHook::kReadahead: return "readahead";
     case PolicyHook::kOrder:     return "order";
@@ -106,9 +104,7 @@ struct EvictionCtx {
   }
 };
 
-// Context handed to prefetch hooks (the FetchBPF-style extension the paper
-// sketches in §7): a miss happened at `index`; the policy may override the
-// kernel's readahead window.
+// Never passed by the page cache; kept only for perfbench's TracingPolicy.
 struct PrefetchCtx {
   AddressSpace* mapping = nullptr;
   uint64_t index = 0;           // the missing page
@@ -131,10 +127,10 @@ struct AdmissionCtx {
 };
 
 // Context handed to the readahead hook (the ondemand_readahead decision
-// point): a miss happened at `index`; the policy returns the window of
-// pages to read ahead (0 suppresses readahead entirely, negative defers to
-// the kernel heuristic). Unlike request_prefetch — which fires once per
-// missing page — this hook fires once per miss *run* and owns the whole
+// point, and the FetchBPF-style prefetch extension the paper sketches in
+// §7): a miss happened at `index`; the policy returns the window of pages
+// to read ahead (0 suppresses readahead entirely, negative defers to the
+// kernel heuristic). It fires once per miss *run* and owns the whole
 // window decision, so streaming policies pay one dispatch per stream step.
 struct ReadaheadCtx {
   AddressSpace* mapping = nullptr;
@@ -230,18 +226,15 @@ class ReclaimPolicy {
     return 0;
   }
 
-  // Prefetch hook (FetchBPF-style extension, §7): return the number of
-  // pages to prefetch after this miss, or a negative value to keep the
-  // kernel's readahead decision. The page cache clamps the answer.
+  // Never called; kept only for perfbench's TracingPolicy override.
   virtual int64_t RequestPrefetch(const PrefetchCtx& ctx) {
     (void)ctx;
     return -1;
   }
 
   // Readahead hook: the per-stream window decision (ondemand_readahead
-  // analogue). Negative defers to the kernel heuristic (which may in turn
-  // consult RequestPrefetch for compat); 0 suppresses readahead. The page
-  // cache clamps the answer to max_readahead_pages.
+  // analogue). Negative defers to the kernel heuristic; 0 suppresses
+  // readahead. The page cache clamps the answer to max_readahead_pages.
   virtual int64_t RequestReadahead(const ReadaheadCtx& ctx) {
     (void)ctx;
     return -1;

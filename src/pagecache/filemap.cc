@@ -376,13 +376,12 @@ uint32_t PageCache::ReadaheadWindow(Lane& lane, CgroupState& st,
     as->ra_window.store(heuristic, std::memory_order_relaxed);
   }
 
-  // Policy override. The readahead hook (ondemand_readahead analogue) is
-  // asked first — one dispatch per miss run, with the full stream context.
-  // A deferral (< 0) falls through to the legacy per-page prefetch hook
-  // (§7 extension) for compatibility with policies written against it.
-  // EVERY policy-returned window — either hook, including an injected
-  // readahead.misfire — is clamped to options_.max_readahead_pages;
-  // clamped answers are surfaced via ext_readahead_clamped.
+  // Policy override: the readahead hook (ondemand_readahead analogue), one
+  // dispatch per miss run with the full stream context. A deferral (< 0)
+  // keeps the heuristic's window. Every policy-returned window, including
+  // an injected readahead.misfire, is clamped to
+  // options_.max_readahead_pages; clamped answers are surfaced via
+  // ext_readahead_clamped.
   if (ExtActive(st)) {
     lane.Charge(options_.costs.hook_dispatch_ns);
     ReadaheadCtx rctx;
@@ -394,16 +393,6 @@ uint32_t PageCache::ReadaheadWindow(Lane& lane, CgroupState& st,
     rctx.pid = lane.task().pid;
     rctx.tid = lane.task().tid;
     int64_t requested = st.ext->RequestReadahead(rctx);
-    if (requested < 0) {
-      PrefetchCtx ctx;
-      ctx.mapping = as;
-      ctx.index = index;
-      ctx.prev_index = prev_index;
-      ctx.default_window = heuristic;
-      ctx.pid = lane.task().pid;
-      ctx.tid = lane.task().tid;
-      requested = st.ext->RequestPrefetch(ctx);
-    }
     if (requested >= 0) {
       const int64_t cap = static_cast<int64_t>(options_.max_readahead_pages);
       if (requested > cap) {

@@ -28,19 +28,9 @@ PageCache::PageCache(SimDisk* disk, SsdModel* ssd, PageCacheOptions options)
     : disk_(disk), ssd_(ssd), options_(options) {
   CHECK_NOTNULL(disk_);
   CHECK_NOTNULL(ssd_);
-  if (options_.reclaim.background && options_.reclaim.use_threads) {
-    reclaimer_pool_ = std::make_unique<reclaim::ReclaimerPool>(
-        options_.reclaim,
-        [this](void* token) { BackgroundTickForToken(token); });
-  }
 }
 
 PageCache::~PageCache() CACHE_EXT_NO_TSA {
-  // Reclaimer threads first: they reach through CgroupStates into policies
-  // and folios, so they must be joined before anything else is torn down.
-  if (reclaimer_pool_ != nullptr) {
-    reclaimer_pool_->Stop();
-  }
   // Drain every deferred free first (folios and xarray nodes this cache
   // retired): their deleters touch the local-storage directory and must
   // not run after our policies are gone mid-teardown.
@@ -74,9 +64,6 @@ MemCgroup* PageCache::CreateCgroup(std::string_view name, uint64_t limit_bytes,
       static_cast<uint32_t>(state->cg->id()));
   state->cg->set_priv(state.get());
   MemCgroup* cg = state->cg.get();
-  if (reclaimer_pool_ != nullptr) {
-    reclaimer_pool_->Register(state.get());
-  }
   cgroups_.push_back(std::move(state));
   return cg;
 }

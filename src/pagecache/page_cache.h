@@ -467,23 +467,14 @@ class PageCache {
   void DirectReclaim(Lane& lane, CgroupState& st, DispatchBatch& batch)
       CACHE_EXT_REQUIRES(st.mu);
 
-  // One reclaimer-lane tick: batches toward the high watermark on the
-  // control block's own virtual lane, as the reclaimer task. `batch` (may
-  // be null from pool threads) is drained first so the policy sees pending
-  // notifications; `now_hint_ns` pins the reclaimer clock forward to the
-  // waker's (0 = none).
-  void BackgroundTick(CgroupState& st, DispatchBatch* batch,
-                      uint64_t now_hint_ns) CACHE_EXT_REQUIRES(st.mu);
-
-  // Wake the cgroup's reclaimer: async condvar kick in threaded mode, a
-  // synchronous virtual-lane tick otherwise (whose cost lands on the
-  // reclaimer's clock, not the allocator's).
-  void KickBackground(Lane& lane, CgroupState& st, DispatchBatch& batch)
+  // One reclaimer-lane tick, run synchronously by the allocator that woke
+  // it (an always-prompt daemon): batches toward the high watermark on the
+  // control block's own virtual lane, as the reclaimer task, so the cost
+  // lands on the reclaimer's clock, not the allocator's. `batch` is drained
+  // first so the policy sees pending notifications, and the reclaimer clock
+  // is pinned forward to the waking `lane`'s.
+  void BackgroundTick(Lane& lane, CgroupState& st, DispatchBatch& batch)
       CACHE_EXT_REQUIRES(st.mu);
-
-  // ReclaimerPool callback: pressure-check the cgroup without its lock,
-  // then lock and tick.
-  void BackgroundTickForToken(void* token);
 
   // --- Writeback -----------------------------------------------------------
   //
@@ -513,9 +504,9 @@ class PageCache {
 
   // Readahead: called on a miss at `index`; returns how many extra pages to
   // prefetch after `last_requested`. Consults the ext policy's readahead
-  // hook (ondemand_readahead analogue) when one is attached, then the
-  // legacy per-page prefetch hook (§7 extension) for compat; every policy
-  // window is clamped to max_readahead_pages (ext_readahead_clamped).
+  // hook (ondemand_readahead analogue) when one is attached; a negative
+  // answer keeps the heuristic's window, and every policy window is
+  // clamped to max_readahead_pages (ext_readahead_clamped).
   // `nr_requested` is how many pages the current read call still wants.
   uint32_t ReadaheadWindow(Lane& lane, CgroupState& st, AddressSpace* as,
                            uint64_t index, uint32_t nr_requested)
@@ -562,10 +553,6 @@ class PageCache {
   std::unordered_map<std::string, std::unique_ptr<AddressSpace>> files_
       CACHE_EXT_GUARDED_BY(registry_mu_);
   std::atomic<uint64_t> total_resident_{0};
-  // Real reclaimer threads (options_.reclaim.use_threads); null in the
-  // single-threaded simulators. Stopped in ~PageCache before
-  // ebr::Synchronize() and policy teardown.
-  std::unique_ptr<reclaim::ReclaimerPool> reclaimer_pool_;
 };
 
 }  // namespace cache_ext

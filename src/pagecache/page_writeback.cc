@@ -184,12 +184,13 @@ void PageCache::BalanceDirtyLocked(Lane& lane, CgroupState& st,
   // the device cannot keep up). The stall is the PSI-style
   // `ext_dirty_throttle_ns` half of the writeback accounting. Each round
   // stalls the writer this long before re-checking the gauge (kernel: ~one
-  // pause() of HZ/5 scaled).
+  // pause() of HZ/5 scaled), and a single write is stalled at most
+  // kMaxThrottleRounds times before it proceeds anyway.
   constexpr uint64_t kThrottlePauseNs = 200 * 1000;
+  constexpr uint32_t kMaxThrottleRounds = 16;
   const uint64_t start_ns = lane.now_ns();
   uint32_t rounds = 0;
-  while (dl.NeedsThrottle(fc.nr_dirty()) &&
-         rounds < options_.writeback.max_throttle_rounds) {
+  while (dl.NeedsThrottle(fc.nr_dirty()) && rounds < kMaxThrottleRounds) {
     FlushTick(st, batch, lane.now_ns());
     lane.Charge(kThrottlePauseNs);
     ++rounds;

@@ -265,8 +265,8 @@ void PageCache::DirectReclaim(Lane& lane, CgroupState& st,
                          total_evicted);
 }
 
-void PageCache::BackgroundTick(CgroupState& st, DispatchBatch* batch,
-                               uint64_t now_hint_ns) {
+void PageCache::BackgroundTick(Lane& lane, CgroupState& st,
+                               DispatchBatch& batch) {
   // Batches one tick may run before yielding the cgroup lock.
   constexpr uint32_t kMaxBatchesPerTick = 64;
   MemCgroup* cg = st.cg.get();
@@ -284,14 +284,12 @@ void PageCache::BackgroundTick(CgroupState& st, DispatchBatch* batch,
   }
   Lane& rlane = rc.lane();
   // The daemon cannot have acted before the pressure that woke it: pin its
-  // clock forward to the waker's (pool threads pass 0 — no virtual waker).
-  rlane.AdvanceTo(now_hint_ns);
+  // clock forward to the waker's.
+  rlane.AdvanceTo(lane.now_ns());
   // Eviction hooks run as the reclaimer task (the kswapd analogue), not as
   // whichever reader happened to trip the wakeup.
   ScopedCurrentTask current_task(rc.task());
-  if (batch != nullptr) {
-    DrainLocked(rlane, *batch, st);
-  }
+  DrainLocked(rlane, batch, st);
   const uint64_t start_ns = rlane.now_ns();
   uint32_t batches = 0;
   while (!wm.TargetReached(cg->charged_pages()) &&
@@ -317,35 +315,6 @@ void PageCache::BackgroundTick(CgroupState& st, DispatchBatch* batch,
   if (wm.TargetReached(cg->charged_pages())) {
     rc.NoteTargetReached();
   }
-}
-
-void PageCache::KickBackground(Lane& lane, CgroupState& st,
-                               DispatchBatch& batch) {
-  if (reclaimer_pool_ != nullptr) {
-    // Async: allocation pays a condvar signal, never reclaim work.
-    reclaimer_pool_->Kick(&st);
-    return;
-  }
-  // Virtual lane (single-threaded sims): tick synchronously, modelling an
-  // always-prompt daemon. The eviction work is charged to the reclaimer's
-  // own clock — the allocating lane's latency is untouched.
-  BackgroundTick(st, &batch, lane.now_ns());
-}
-
-void PageCache::BackgroundTickForToken(void* token) CACHE_EXT_NO_TSA {
-  auto* st = static_cast<CgroupState*>(token);
-  if (st->oom_killed.load(std::memory_order_relaxed)) {
-    return;
-  }
-  const reclaim::Watermarks wm = reclaim::ForCgroup(*st->cg);
-  // Lock-free pressure gate: idle cgroups cost the pool two relaxed loads
-  // per poll, never a lock acquisition that could contend the hot path.
-  if (!wm.Valid() ||
-      !st->reclaim->ShouldWake(st->cg->charged_pages(), wm)) {
-    return;
-  }
-  MutexLock lock(st->mu);
-  BackgroundTick(*st, nullptr, 0);
 }
 
 void PageCache::ReclaimIfNeeded(Lane& lane, CgroupState& st,
@@ -374,7 +343,7 @@ void PageCache::ReclaimIfNeeded(Lane& lane, CgroupState& st,
     return;
   }
   if (rc.ShouldWake(cg->charged_pages(), wm) && rc.KickAllowed()) {
-    KickBackground(lane, st, batch);
+    BackgroundTick(lane, st, batch);
   }
   if (!cg->OverLimit()) {
     // The common case with a healthy daemon: allocate from pre-reclaimed
@@ -388,7 +357,7 @@ void PageCache::ReclaimIfNeeded(Lane& lane, CgroupState& st,
   // try that once before paying inline.
   const uint64_t overshoot = cg->charged_pages() - cg->limit_pages();
   if (rc.NoteEmergencyEntry(overshoot)) {
-    KickBackground(lane, st, batch);
+    BackgroundTick(lane, st, batch);
     if (!cg->OverLimit()) {
       return;
     }

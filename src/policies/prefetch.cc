@@ -41,20 +41,17 @@ Ops MakeStridePrefetcherOps(const PrefetchParams& params) {
   // Eviction stays with the kernel default (fallback path).
   ops.evict_folios = [](CacheExtApi&, EvictionCtx*, MemCgroup*) {};
 
-  // One stride tracker shared by both hook shapes: the page cache
-  // dispatches the per-run `readahead` hook first and only falls back to
-  // the legacy per-page `request_prefetch` when readahead defers.
-  auto window_for = [st](const AddressSpace* mapping, uint64_t index,
-                         int32_t tid) -> int64_t {
-    const uint64_t key = StreamKey(mapping, tid);
+  // One stride tracker per (mapping, thread), consulted once per miss run.
+  ops.readahead = [st](CacheExtApi&, const ReadaheadCtx& ctx) -> int64_t {
+    const uint64_t key = StreamKey(ctx.mapping, ctx.tid);
     StreamState stream;
     const bool known = st->streams.Lookup(key, &stream);
     // Forward progress within a small gap counts as sequential: consumers
     // that read in multi-page chunks advance many pages per miss.
-    const bool sequential = known && index > stream.last_index &&
-                            index - stream.last_index <= 32;
+    const bool sequential = known && ctx.index > stream.last_index &&
+                            ctx.index - stream.last_index <= 32;
     stream.sequential_run = sequential ? stream.sequential_run + 1 : 0;
-    stream.last_index = index;
+    stream.last_index = ctx.index;
     st->streams.Update(key, stream);
     if (stream.sequential_run >= st->params.confirm_after) {
       // Confirmed stream: full window immediately, no slow start.
@@ -62,18 +59,6 @@ Ops MakeStridePrefetcherOps(const PrefetchParams& params) {
     }
     // Unconfirmed/random: no speculative reads at all.
     return 0;
-  };
-
-  ops.readahead = [window_for](CacheExtApi&,
-                               const ReadaheadCtx& ctx) -> int64_t {
-    return window_for(ctx.mapping, ctx.index, ctx.tid);
-  };
-  // Compat shim: same decision through the legacy hook, for loaders that
-  // predate the readahead extension (never reached while `readahead` is
-  // attached — the page cache consumes its answer first).
-  ops.request_prefetch = [window_for](CacheExtApi&,
-                                      const PrefetchCtx& ctx) -> int64_t {
-    return window_for(ctx.mapping, ctx.index, ctx.tid);
   };
   {
     using bpf::verifier::Hook;
@@ -85,7 +70,6 @@ Ops MakeStridePrefetcherOps(const PrefetchParams& params) {
         .DeclareHook(Hook::kFolioAdded, 0)
         .DeclareHook(Hook::kFolioAccessed, 0)
         .DeclareHook(Hook::kFolioRemoved, 0)
-        .DeclareHook(Hook::kRequestPrefetch, 0)
         .DeclareHook(Hook::kReadahead, 0);
   }
   return ops;

@@ -3,8 +3,8 @@
 // easily be integrated into cache_ext as an additional hook").
 //
 // The policy tracks per-(mapping, thread) access streams in a bpf map and
-// overrides the kernel's readahead heuristic through the request_prefetch
-// hook: confirmed sequential streams get a large fixed window immediately
+// overrides the kernel's readahead heuristic through the readahead hook:
+// confirmed sequential streams get a large fixed window immediately
 // (no slow-start doubling), while random streams disable prefetch entirely
 // (no wasted speculative reads). Eviction is left to the kernel default via
 // the fallback path, so this composes like the admission filter does.

@@ -1,7 +1,6 @@
 #include "src/reclaim/reclaimer.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "src/fault/fault_injector.h"
 
@@ -199,91 +198,6 @@ bool CgroupReclaimControl::NoteExtRound(bool ext_made_progress,
   const uint32_t streak =
       ext_failure_streak_.fetch_add(1, std::memory_order_relaxed) + 1;
   return limit > 0 && streak == limit;
-}
-
-ReclaimerPool::ReclaimerPool(const ReclaimOptions& options, TickFn tick)
-    : options_(options), tick_(std::move(tick)) {
-  const uint32_t nr = std::max<uint32_t>(options_.nr_threads, 1);
-  shards_.reserve(nr);
-  for (uint32_t i = 0; i < nr; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-  for (auto& shard : shards_) {
-    shard->thread = std::thread(&ReclaimerPool::ThreadMain, this, shard.get());
-  }
-}
-
-ReclaimerPool::~ReclaimerPool() { Stop(); }
-
-void ReclaimerPool::Register(void* token) {
-  Shard& shard =
-      *shards_[next_shard_.fetch_add(1, std::memory_order_relaxed) %
-               shards_.size()];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  shard.tokens.push_back(token);
-}
-
-void ReclaimerPool::Kick(void* token) {
-  // Wake every shard that owns the token (round-robin assignment means at
-  // most one does; scanning is cheap at these shard counts).
-  for (auto& shard : shards_) {
-    {
-      std::lock_guard<std::mutex> lock(shard->mu);
-      bool owns = false;
-      for (void* t : shard->tokens) {
-        if (t == token) {
-          owns = true;
-          break;
-        }
-      }
-      if (!owns) {
-        continue;
-      }
-      shard->kicked = true;
-    }
-    shard->cv.notify_one();
-    return;
-  }
-}
-
-void ReclaimerPool::Stop() {
-  if (stopping_.exchange(true)) {
-    return;
-  }
-  for (auto& shard : shards_) {
-    {
-      std::lock_guard<std::mutex> lock(shard->mu);
-      shard->kicked = true;
-    }
-    shard->cv.notify_all();
-  }
-  for (auto& shard : shards_) {
-    if (shard->thread.joinable()) {
-      shard->thread.join();
-    }
-  }
-}
-
-void ReclaimerPool::ThreadMain(Shard* shard) {
-  const auto poll = std::chrono::microseconds(
-      std::max<uint32_t>(options_.thread_poll_us, 1));
-  while (!stopping_.load(std::memory_order_acquire)) {
-    std::vector<void*> tokens;
-    {
-      std::unique_lock<std::mutex> lock(shard->mu);
-      shard->cv.wait_for(lock, poll, [&] {
-        return shard->kicked || stopping_.load(std::memory_order_acquire);
-      });
-      shard->kicked = false;
-      tokens = shard->tokens;  // copy: ticks run without the shard lock
-    }
-    if (stopping_.load(std::memory_order_acquire)) {
-      break;
-    }
-    for (void* token : tokens) {
-      tick_(token);
-    }
-  }
 }
 
 }  // namespace cache_ext::reclaim

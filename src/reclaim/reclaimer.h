@@ -15,10 +15,10 @@
 //    wall time at least one task spent stalled on reclaim and `full` is the
 //    subset where no forward progress was made at all).
 //
-//  - `ReclaimerPool` owns the real threads of the MT harness. In the
-//    single-threaded simulators there are no threads: the "lane" is purely
-//    virtual and is ticked synchronously at allocation sites, which models
-//    an always-prompt daemon (its CPU time still lands on its own clock).
+//  - There are no reclaimer threads: the lane is purely virtual, and the
+//    allocator that wakes it ticks it synchronously under the cgroup lock,
+//    which models an always-prompt daemon (its CPU time still lands on its
+//    own clock, never on the allocator's).
 //
 // Robustness contract (the reason this file exists, ISSUE 7):
 //  * Allocation NEVER blocks on a healthy reclaimer — it allocates from
@@ -38,12 +38,7 @@
 #define SRC_RECLAIM_RECLAIMER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 #include "src/cgroup/memcg_stat.h"
 #include "src/reclaim/watermarks.h"
@@ -57,15 +52,6 @@ struct ReclaimOptions {
   // ablation and the default) preserves the historical inline-only
   // behaviour: every over-limit allocation pays direct reclaim itself.
   bool background = false;
-  // Real reclaimer threads (MT harness). False = virtual lanes: the daemon
-  // is ticked synchronously at allocation sites in the single-threaded
-  // simulators, charging its work to its own virtual clock.
-  bool use_threads = false;
-  uint32_t nr_threads = 2;
-  // Thread poll period (microseconds of wall time) when no kick arrives;
-  // the backstop that keeps a cgroup draining even if every allocator
-  // gives up kicking a lane it believes stalled.
-  uint32_t thread_poll_us = 200;
   // Circuit-breaker feed: after this many CONSECUTIVE reclaim rounds where
   // the ext policy proposed nothing usable while the base-policy fallback
   // did evict, latch the watchdog detach (feeding the PR-2 PolicyManager
@@ -89,12 +75,8 @@ enum class TickOutcome : uint8_t {
   kDead,     // lane is dead: permanent no-op
 };
 
-// Per-cgroup reclaim control block. All fields are relaxed atomics: the
-// heavy mutators (EnterTick, NoteBatch, NoteEmergencyEntry, NoteDirect) run
-// under the owning cgroup's lock, but ShouldWake is also called from the
-// ReclaimerPool's scan loop without it — a racy wake check at worst costs
-// one spurious kick, never a missed limit (the hard limit is enforced by
-// direct reclaim regardless).
+// Per-cgroup reclaim control block. Every caller holds the owning cgroup's
+// lock, so the relaxed atomics below need no ordering of their own.
 class CgroupReclaimControl {
  public:
   explicit CgroupReclaimControl(uint32_t cgroup_id)
@@ -226,49 +208,6 @@ class CgroupReclaimControl {
   std::atomic<uint32_t> ext_failure_streak_{0};
 
   Counters counters_;
-};
-
-// The real reclaimer threads of the MT harness: N threads share the
-// registered cgroup tokens round-robin, each parked on a condvar and woken
-// by Kick() (or its poll-interval backstop). The pool knows nothing about
-// the page cache — it calls back with the opaque token; the owner locks the
-// cgroup and runs its BackgroundTick. Threads never touch tokens after
-// Stop(), and the owner must Stop()/join before tearing down what the
-// tokens point at (PageCache stops the pool before ebr::Synchronize()).
-class ReclaimerPool {
- public:
-  using TickFn = std::function<void(void*)>;
-
-  ReclaimerPool(const ReclaimOptions& options, TickFn tick);
-  ~ReclaimerPool();
-  ReclaimerPool(const ReclaimerPool&) = delete;
-  ReclaimerPool& operator=(const ReclaimerPool&) = delete;
-
-  // Register a cgroup token; assigned to a shard round-robin. Tokens are
-  // never unregistered individually — lifetime ends at Stop().
-  void Register(void* token);
-  // Wake the shard owning `token`. Cheap and async: allocation latency sees
-  // a mutex+condvar signal, never reclaim work.
-  void Kick(void* token);
-  // Join all threads. Idempotent; called by the destructor.
-  void Stop();
-
- private:
-  struct Shard {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::vector<void*> tokens;
-    bool kicked = false;
-    std::thread thread;
-  };
-
-  void ThreadMain(Shard* shard);
-
-  ReclaimOptions options_;
-  TickFn tick_;
-  std::atomic<bool> stopping_{false};
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<size_t> next_shard_{0};
 };
 
 }  // namespace cache_ext::reclaim

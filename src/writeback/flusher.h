@@ -57,9 +57,6 @@ struct WritebackOptions {
   // folios are only written back by fsync or at eviction time, inline on
   // the acting lane.
   bool background = false;
-  // Rounds a single Write may be throttled before it proceeds anyway —
-  // bounds writer latency when the device simply cannot keep up.
-  uint32_t max_throttle_rounds = 16;
 };
 
 // Outcome of a tick attempt, decided before any harvest work.

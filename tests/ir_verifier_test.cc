@@ -236,15 +236,15 @@ TEST(IrLoopBoundTest, MaskedRegisterBoundIsAccepted) {
 
 // --- Kfunc context ------------------------------------------------------
 
-TEST(IrKfuncTest, ListAddFromRequestPrefetchIsRejected) {
+TEST(IrKfuncTest, ListAddFromReadaheadIsRejected) {
   ProgramBuilder b;
   b.MovImm(R1, 1);
   b.MovImm(R2, 0);
   b.MovImm(R3, 1);
   b.Call(Kfunc::kListAdd);
   b.MovImm(R0, -1).Exit();
-  ExpectRejected(PolicyWith(Hook::kRequestPrefetch, b.Build()),
-                 Check::kIrKfuncContext, "not allowed in request_prefetch");
+  ExpectRejected(PolicyWith(Hook::kReadahead, b.Build()),
+                 Check::kIrKfuncContext, "not allowed in readahead");
 }
 
 TEST(IrKfuncTest, LockTakingKfuncInLoopBodyIsRejected) {
@@ -338,8 +338,8 @@ TEST(IrDeadHookTest, AlwaysAdmittingAdmitHookIsRejected) {
 TEST(IrDeadHookTest, AlwaysDeferringPrefetchHookIsRejected) {
   ProgramBuilder b;
   b.MovImm(R0, -1).Exit();
-  ExpectRejected(PolicyWith(Hook::kRequestPrefetch, b.Build()),
-                 Check::kIrDeadHook, "always defers");
+  ExpectRejected(PolicyWith(Hook::kReadahead, b.Build()), Check::kIrDeadHook,
+                 "always defers");
 }
 
 TEST(IrDeadHookTest, AlwaysFlushingShouldWritebackIsRejected) {

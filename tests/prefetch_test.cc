@@ -1,6 +1,6 @@
 // Tests for the prefetch-policy extension (§7, FetchBPF-style): the
-// request_prefetch hook's plumbing through the page cache, its clamping,
-// and the stride-prefetcher policy's behaviour.
+// readahead hook's plumbing through the page cache, its clamping, and the
+// stride-prefetcher policy's behaviour.
 
 #include <gtest/gtest.h>
 
@@ -15,22 +15,9 @@
 namespace cache_ext {
 namespace {
 
+// A policy whose only decision is the readahead window.
 Ops HookOnlyOps(std::string name,
-                std::function<int64_t(CacheExtApi&, const PrefetchCtx&)> fn) {
-  Ops ops;
-  ops.name = std::move(name);
-  ops.policy_init = [](CacheExtApi&, MemCgroup*) -> int32_t { return 0; };
-  ops.evict_folios = [](CacheExtApi&, EvictionCtx*, MemCgroup*) {};
-  ops.folio_added = [](CacheExtApi&, Folio*) {};
-  ops.folio_accessed = [](CacheExtApi&, Folio*) {};
-  ops.folio_removed = [](CacheExtApi&, Folio*) {};
-  ops.request_prefetch = std::move(fn);
-  return ops;
-}
-
-Ops ReadaheadOnlyOps(
-    std::string name,
-    std::function<int64_t(CacheExtApi&, const ReadaheadCtx&)> fn) {
+                std::function<int64_t(CacheExtApi&, const ReadaheadCtx&)> fn) {
   Ops ops;
   ops.name = std::move(name);
   ops.policy_init = [](CacheExtApi&, MemCgroup*) -> int32_t { return 0; };
@@ -73,12 +60,12 @@ class PrefetchHookTest : public ::testing::Test {
 };
 
 TEST_F(PrefetchHookTest, HookSeesMissContext) {
-  PrefetchCtx seen;
+  ReadaheadCtx seen;
   int calls = 0;
   ASSERT_TRUE(loader_
                   ->Attach(cg_, HookOnlyOps("spy",
                                             [&](CacheExtApi&,
-                                                const PrefetchCtx& ctx) {
+                                                const ReadaheadCtx& ctx) {
                                               seen = ctx;
                                               ++calls;
                                               return int64_t{-1};
@@ -100,7 +87,7 @@ TEST_F(PrefetchHookTest, PolicyWindowOverridesHeuristic) {
   ASSERT_TRUE(loader_
                   ->Attach(cg_, HookOnlyOps("fixed6",
                                             [](CacheExtApi&,
-                                               const PrefetchCtx&) {
+                                               const ReadaheadCtx&) {
                                               return int64_t{6};
                                             }))
                   .ok());
@@ -122,7 +109,7 @@ TEST_F(PrefetchHookTest, PolicyWindowClampedToMaxReadahead) {
   ASSERT_TRUE(loader_
                   ->Attach(cg_, HookOnlyOps("fixed16",
                                             [](CacheExtApi&,
-                                               const PrefetchCtx&) {
+                                               const ReadaheadCtx&) {
                                               return int64_t{16};
                                             }))
                   .ok());
@@ -140,7 +127,7 @@ TEST_F(PrefetchHookTest, ZeroDisablesPrefetchOnSequentialStream) {
   ASSERT_TRUE(loader_
                   ->Attach(cg_, HookOnlyOps("never",
                                             [](CacheExtApi&,
-                                               const PrefetchCtx&) {
+                                               const ReadaheadCtx&) {
                                               return int64_t{0};
                                             }))
                   .ok());
@@ -156,7 +143,7 @@ TEST_F(PrefetchHookTest, NegativeDefersToKernelHeuristic) {
   ASSERT_TRUE(loader_
                   ->Attach(cg_, HookOnlyOps("defer",
                                             [&](CacheExtApi&,
-                                                const PrefetchCtx& ctx) {
+                                                const ReadaheadCtx& ctx) {
                                               last_default =
                                                   ctx.default_window;
                                               return int64_t{-1};
@@ -173,7 +160,7 @@ TEST_F(PrefetchHookTest, AbsurdWindowClamped) {
   ASSERT_TRUE(loader_
                   ->Attach(cg_, HookOnlyOps("greedy",
                                             [](CacheExtApi&,
-                                               const PrefetchCtx&) {
+                                               const ReadaheadCtx&) {
                                               return int64_t{1 << 30};
                                             }))
                   .ok());
@@ -192,7 +179,7 @@ TEST_F(PrefetchHookTest, ReadaheadHookSeesRunContext) {
   ReadaheadCtx seen;
   int calls = 0;
   ASSERT_TRUE(loader_
-                  ->Attach(cg_, ReadaheadOnlyOps(
+                  ->Attach(cg_, HookOnlyOps(
                                     "ra_spy",
                                     [&](CacheExtApi&,
                                         const ReadaheadCtx& ctx) {
@@ -218,7 +205,7 @@ TEST_F(PrefetchHookTest, ReadaheadZeroSuppressesWindow) {
   // A zero return from the readahead hook suppresses all speculation —
   // including the kernel heuristic (it must NOT fall through to it).
   ASSERT_TRUE(loader_
-                  ->Attach(cg_, ReadaheadOnlyOps(
+                  ->Attach(cg_, HookOnlyOps(
                                     "ra_never",
                                     [](CacheExtApi&, const ReadaheadCtx&) {
                                       return int64_t{0};
@@ -234,7 +221,7 @@ TEST_F(PrefetchHookTest, ReadaheadZeroSuppressesWindow) {
 
 TEST_F(PrefetchHookTest, ReadaheadWindowClampedAndCounted) {
   ASSERT_TRUE(loader_
-                  ->Attach(cg_, ReadaheadOnlyOps(
+                  ->Attach(cg_, HookOnlyOps(
                                     "ra_greedy",
                                     [](CacheExtApi&, const ReadaheadCtx&) {
                                       return int64_t{1} << 40;
@@ -246,27 +233,30 @@ TEST_F(PrefetchHookTest, ReadaheadWindowClampedAndCounted) {
   EXPECT_EQ(pc_->StatsFor(cg_).ext_readahead_clamped, 1u);
 }
 
-TEST_F(PrefetchHookTest, ReadaheadDeferFallsBackToPrefetchShim) {
-  // A policy carrying both hook shapes: when readahead defers (negative),
-  // the page cache consults the legacy request_prefetch shim before the
-  // kernel heuristic.
-  int ra_calls = 0;
-  int pf_calls = 0;
-  Ops ops = ReadaheadOnlyOps("ra_defer",
-                             [&](CacheExtApi&, const ReadaheadCtx&) {
-                               ++ra_calls;
-                               return int64_t{-1};
-                             });
-  ops.request_prefetch = [&](CacheExtApi&, const PrefetchCtx&) -> int64_t {
-    ++pf_calls;
-    return 5;
-  };
-  ASSERT_TRUE(loader_->Attach(cg_, std::move(ops)).ok());
+TEST_F(PrefetchHookTest, ReadaheadDeferGetsExactlyTheHeuristicWindow) {
+  // A deferring readahead hook is the whole policy decision: the page cache
+  // reads ahead exactly the heuristic window the hook was offered, and asks
+  // nothing else.
+  int calls = 0;
+  uint64_t offered = 0;
+  ASSERT_TRUE(loader_
+                  ->Attach(cg_, HookOnlyOps("ra_defer",
+                                            [&](CacheExtApi&,
+                                                const ReadaheadCtx& ctx) {
+                                              ++calls;
+                                              offered += ctx.default_window;
+                                              return int64_t{-1};
+                                            }))
+                  .ok());
   Lane lane(0, TaskContext{1, 1}, 1);
-  ReadPage(lane, 0);
-  EXPECT_EQ(ra_calls, 1);
-  EXPECT_EQ(pf_calls, 1);
-  EXPECT_EQ(pc_->StatsFor(cg_).readahead_pages, 5u);
+  ReadPage(lane, 0);  // first touch: the heuristic offers no window
+  EXPECT_EQ(pc_->StatsFor(cg_).readahead_pages, 0u);
+  ReadPage(lane, 1);  // sequential: the heuristic opens a 4-page window
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(offered, 4u);
+  EXPECT_EQ(pc_->StatsFor(cg_).readahead_pages, 4u);
+  EXPECT_NE(as_->FindFolio(5), nullptr);
+  EXPECT_EQ(as_->FindFolio(6), nullptr);
 }
 
 // --- the stride prefetcher policy ---------------------------------------------
@@ -336,14 +326,13 @@ TEST_F(PrefetchHookTest, FactoryKnowsThePrefetcher) {
   auto bundle = policies::MakePolicy("stride_prefetcher", {});
   ASSERT_TRUE(bundle.ok());
   EXPECT_TRUE(CacheExtLoader::Verify(bundle->ops).ok());
-  // Primary per-run hook plus the legacy compat shim.
+  // One readahead decision per miss run, through the per-run hook.
   EXPECT_NE(bundle->ops.readahead, nullptr);
-  EXPECT_NE(bundle->ops.request_prefetch, nullptr);
 }
 
 TEST_F(PrefetchHookTest, StridePrefetcherDrivesTheReadaheadHook) {
-  // The stride policy now answers through `readahead`; the page cache must
-  // reach its window without ever needing the per-page shim.
+  // The stride policy answers through `readahead`, the page cache's one
+  // readahead hook.
   policies::PrefetchParams params;
   params.sequential_window = 4;
   params.confirm_after = 1;

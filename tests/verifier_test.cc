@@ -121,8 +121,8 @@ TEST(VerifierPass1Test, CoverageRejectsPresentButUndeclaredHook) {
 
 TEST(VerifierPass1Test, CoverageRejectsDeclaredButMissingHook) {
   Ops ops = DeclaredFifoOps();
-  // The spec describes a prefetch program that does not exist.
-  ops.spec.DeclareHook(Hook::kRequestPrefetch, 0);
+  // The spec describes a readahead program that does not exist.
+  ops.spec.DeclareHook(Hook::kReadahead, 0);
   VerifierLog log;
   EXPECT_FALSE(VerifyPolicy(ops, &log).ok());
   EXPECT_TRUE(LogHasFailure(log, Check::kSpecCoverage));

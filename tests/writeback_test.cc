@@ -278,7 +278,7 @@ TEST_F(WritebackTest, WriterThrottlesWhenFlusherCannotKeepUp) {
   EXPECT_GE(stats.writeback_stalled_ticks, 1u);
   EXPECT_EQ(stats.dirty_pages, 8u);  // the wedged lane made no progress
   EXPECT_EQ(stats.writeback_pages, 0u);
-  // The throttle is bounded (max_throttle_rounds): the writes completed
+  // The throttle is bounded (kMaxThrottleRounds): the writes completed
   // anyway, and fsync stays a durability backstop independent of the lane.
   ASSERT_TRUE(rig->pc->SyncFile(lane, rig->as).ok());
   stats = rig->pc->StatsFor(rig->cg);

@@ -13,8 +13,9 @@
 #   tools/check.sh --tsan       # ThreadSanitizer build, MT stress tests
 #                               # (concurrency_test — incl. the IR hook
 #                               # dispatch storms on both backends — +
-#                               # ebr_test + reclaim_test's reclaimer-thread
-#                               # races), the model fingerprints against
+#                               # ebr_test + reclaim_test's allocator threads
+#                               # racing background reclaim and policy
+#                               # churn), the model fingerprints against
 #                               # the same golden file, + a bench_mt_scaling
 #                               # run (written to build/BENCH_mt_scaling.json)
 #                               # + an ir_lfu-on-every-lane scaling check
