@@ -408,6 +408,13 @@ uint32_t PageCache::ReadaheadWindow(Lane& lane, CgroupState& st,
 void PageCache::Prefetch(Lane& lane, AddressSpace* as, CgroupState& st,
                          uint64_t first_index, uint32_t nr_pages,
                          DispatchBatch& batch) {
+  // Readahead stops at the end of the file, as the kernel's stops at
+  // i_size: a page past it has no device bytes to read or cache.
+  const uint64_t file_pages =
+      (disk_->SizeOf(as->file()) + kPageSize - 1) / kPageSize;
+  if (first_index >= file_pages) {
+    return;
+  }
   // A failed readahead read is dropped before it inserts anything, as the
   // kernel drops readahead errors: the reader misses on those pages later.
   if (fault::InjectFault(fault::points::kDiskRead)) {
@@ -415,7 +422,7 @@ void PageCache::Prefetch(Lane& lane, AddressSpace* as, CgroupState& st,
   }
   // Resident folios are skipped; admit_order hears how much of the window
   // is left at each missing page. A denied page is skipped too.
-  const uint64_t last = first_index + nr_pages - 1;
+  const uint64_t last = std::min(first_index + nr_pages, file_pages) - 1;
   uint64_t run_pages = 0;
   (void)WalkFolios(
       as, st, first_index, last,

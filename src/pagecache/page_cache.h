@@ -512,8 +512,9 @@ class PageCache {
                            uint64_t index, uint32_t nr_requested)
       CACHE_EXT_REQUIRES(st.mu);
   // Reads ahead the missing pages of [first_index, first_index + nr_pages)
-  // (nr_pages > 0) as one asynchronous device read; resident pages and
-  // pages the admission filter denies are skipped.
+  // (nr_pages > 0) as one asynchronous device read, stopping at the end of
+  // the file; resident pages and pages the admission filter denies are
+  // skipped.
   void Prefetch(Lane& lane, AddressSpace* as, CgroupState& st,
                 uint64_t first_index, uint32_t nr_pages, DispatchBatch& batch)
       CACHE_EXT_REQUIRES(st.mu);

@@ -202,22 +202,16 @@ Status PageCache::FadviseRange(Lane& lane, AddressSpace* as, MemCgroup* cg,
       if (st->oom_killed.load(std::memory_order_relaxed)) {
         return ResourceExhausted("cgroup was OOM-killed");
       }
-      const uint64_t file_pages =
-          (disk_->SizeOf(as->file()) + kPageSize - 1) / kPageSize;
-      const uint64_t end = std::min<uint64_t>(
-          last, file_pages == 0 ? 0 : file_pages - 1);
+      // Prefetch stops the range at the end of the file.
       constexpr uint64_t kWillNeedCap = 1024;
-      const uint64_t count =
-          end >= first ? std::min<uint64_t>(end - first + 1, kWillNeedCap) : 0;
-      if (count > 0) {
-        DispatchBatch batch;
-        {
-          MutexLock lock(st->mu);
-          Prefetch(lane, as, *st, first, static_cast<uint32_t>(count), batch);
-          DrainLocked(lane, batch, *st);
-        }
-        Drain(lane, batch);
+      const uint64_t count = std::min(last - first, kWillNeedCap - 1) + 1;
+      DispatchBatch batch;
+      {
+        MutexLock lock(st->mu);
+        Prefetch(lane, as, *st, first, static_cast<uint32_t>(count), batch);
+        DrainLocked(lane, batch, *st);
       }
+      Drain(lane, batch);
       return OkStatus();
     }
   }

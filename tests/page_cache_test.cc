@@ -181,6 +181,24 @@ TEST_F(PageCacheTest, SequentialReadsTriggerReadahead) {
   EXPECT_GT(stats.readahead_pages, 0u);
 }
 
+TEST_F(PageCacheTest, SequentialReadaheadStopsAtEndOfFile) {
+  // A sequential read of a whole 8-page file reads ahead 4 pages after page
+  // 1 and then only page 7: nothing past the last page is cached or charged.
+  Lane lane = MakeLane();
+  auto as = pc_->OpenFile("/short");
+  ASSERT_TRUE(as.ok());
+  ASSERT_TRUE(disk_.Truncate((*as)->file(), 8 * kPageSize).ok());
+  std::vector<uint8_t> buf(kPageSize);
+  for (uint64_t i = 0; i < 8; ++i) {
+    ASSERT_TRUE(
+        pc_->Read(lane, *as, cg_, i * kPageSize, std::span<uint8_t>(buf)).ok());
+  }
+  EXPECT_EQ(pc_->StatsFor(cg_).readahead_pages, 5u);
+  EXPECT_EQ((*as)->nr_resident(), 8u);
+  EXPECT_EQ(cg_->charged_pages(), 8u);
+  EXPECT_EQ((*as)->FindFolio(8), nullptr);
+}
+
 TEST_F(PageCacheTest, FadvRandomDisablesReadahead) {
   Lane lane = MakeLane();
   auto as = pc_->OpenFile("/rand");
@@ -223,6 +241,12 @@ TEST_F(PageCacheTest, FadvWillNeedPrefetches) {
   cg_->ResetStats();
   ReadString(lane, *as, 0, kPageSize);
   EXPECT_EQ(cg_->stat_misses.load(), 0u);  // prefetched -> hit
+  // A range that runs past the end of the file stops at its last page.
+  ASSERT_TRUE(pc_->FadviseRange(lane, *as, cg_, Fadvise::kWillNeed,
+                                12 * kPageSize, 8 * kPageSize)
+                  .ok());
+  EXPECT_EQ((*as)->nr_resident(), 12u);
+  EXPECT_EQ((*as)->FindFolio(16), nullptr);
 }
 
 TEST_F(PageCacheTest, FadvNoReuseMarksFoliosDropBehind) {
