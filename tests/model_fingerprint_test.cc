@@ -14,7 +14,10 @@
 //  - a log2 histogram of per-op virtual latency (KV, random-read and mix
 //    runs);
 //  - the SSD model's totals;
-//  - an FNV-1a hash of every SimDisk file.
+//  - an FNV-1a hash of every SimDisk file;
+//  - for the op mix, an FNV-1a hash of every folio the tested cgroup lost,
+//    in removal order, so a policy that keeps every count but evicts
+//    different folios still moves its line.
 //
 // After an intended change to the model, rewrite the file by running the
 // binary directly (one process runs every configuration in turn):
@@ -191,11 +194,9 @@ uint64_t ValueHash(std::string_view value) {
 // The policy load path perfbench uses: build, verify, Init, attach.
 // `adjust` may edit the policy's ops before they are verified.
 void AttachVerified(harness::Env& env, MemCgroup* cg, std::string_view name,
-                    const std::vector<int32_t>& filter_tids = {},
+                    policies::PolicyParams params = {},
                     void (*adjust)(Ops&) = nullptr) {
-  policies::PolicyParams params;
   params.capacity_pages = cg->limit_pages();
-  params.filter_tids = filter_tids;
   auto bundle = policies::MakePolicy(name, params);
   ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
   if (adjust != nullptr) {
@@ -370,14 +371,15 @@ void RunRandread(Line& line) {
 // quarter of their size, random and sequential, aligned and not, writes over
 // pages just read, FADV_SEQUENTIAL / RANDOM / WILLNEED / partial DONTNEED,
 // fsync, and a second cgroup's lane (on the same thread) reading pages the
-// first caches. Three lines run the same mix: the base LRU with background
-// reclaim and writeback; ir_readahead (readahead hook, order-2/4 admission);
-// and admission_filter filtering a task the lane takes for a quarter of its
-// ops. Each line also holds an FNV-1a hash of every byte Read returned
-// (read_fnv1a) and the written pages resident just before their write
-// (write_hit_pages); `failed` counts reads that differ from a shadow copy.
-
-enum class MixPolicy { kBaseLru, kReadahead, kAdmissionFilter };
+// first caches. Every line runs the same mix, under: the base LRU with
+// background reclaim and writeback; ir_readahead (readahead hook, order-2/4
+// admission); admission_filter filtering a task the lane takes for a quarter
+// of its ops; get_scan with that task's pid as its scan pid; and noop, fifo
+// and mru. Each line also holds an FNV-1a hash of every byte Read returned
+// (read_fnv1a), of the (mapping id, index) of every folio removed from the
+// tested cgroup (evict_fnv1a), and the written pages resident just before
+// their write (write_hit_pages); `failed` counts reads that differ from a
+// shadow copy.
 
 constexpr uint64_t kMixFiles = 3;
 constexpr uint64_t kMixFilePages = 256;
@@ -385,17 +387,46 @@ constexpr uint64_t kMixOps = 2000;
 constexpr uint64_t kMixMaxPages = 40;
 constexpr TaskContext kMixTask{100, 101};
 constexpr TaskContext kMixFilteredTask{100, 102};
+constexpr TaskContext kMixScanTask{300, 102};
 
-void RunMix(MixPolicy policy, Line& line) {
+// Hashes (mapping id, index) of each folio removed from one cgroup. Charges
+// no time, so the run it watches is the run it would be without it.
+class EvictHashTracer : public PageCacheTracer {
+ public:
+  void Watch(const MemCgroup* cg) { cg_ = cg; }
+
+  void OnFolioAdded(Lane&, const Folio&) override {}
+  void OnFolioAccessed(Lane&, const Folio&) override {}
+  void OnFolioEvicted(Lane&, const Folio& folio) override {
+    if (folio.memcg != cg_) {
+      return;
+    }
+    const uint64_t key[2] = {folio.mapping->id(), folio.index};
+    Fnv1a(hash_, std::span(reinterpret_cast<const uint8_t*>(key), sizeof(key)));
+  }
+
+  uint64_t hash() const { return hash_; }
+
+ private:
+  const MemCgroup* cg_ = nullptr;
+  uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+// `policy` empty: the base LRU with the background daemons.
+void RunMix(std::string_view policy, Line& line) {
   harness::EnvOptions options;
-  options.cache.reclaim.background = policy == MixPolicy::kBaseLru;
-  options.cache.writeback.background = policy == MixPolicy::kBaseLru;
+  options.cache.reclaim.background = policy.empty();
+  options.cache.writeback.background = policy.empty();
+  // Declared before the env, whose teardown may still remove folios.
+  EvictHashTracer evictions;
   harness::Env env(options);
   MemCgroup* cg =
       env.CreateCgroup("mix", kMixFiles * kMixFilePages * kPageSize / 4);
   MemCgroup* other = env.CreateCgroup("mix_other", 64 * kPageSize);
   ASSERT_NE(cg, nullptr);
   ASSERT_NE(other, nullptr);
+  evictions.Watch(cg);
+  env.cache().SetTracer(&evictions);
   std::vector<std::vector<uint8_t>> shadow(kMixFiles);
   std::vector<AddressSpace*> files;
   for (uint64_t f = 0; f < kMixFiles; ++f) {
@@ -415,22 +446,28 @@ void RunMix(MixPolicy policy, Line& line) {
   Lane other_lane(2, TaskContext{200, 201}, Mix64(kSeed ^ (5ull << 32)));
   lane.AdvanceTo(env.ssd().FrontierNs());
   other_lane.AdvanceTo(env.ssd().FrontierNs());
-  if (policy == MixPolicy::kReadahead) {
-    AttachVerified(env, cg, "ir_readahead");
-  } else if (policy == MixPolicy::kAdmissionFilter) {
+  // The task the lane takes for a quarter of its ops.
+  const TaskContext second_task =
+      policy == "get_scan" ? kMixScanTask : kMixFilteredTask;
+  if (policy == "admission_filter") {
     // The stock filter admits every write (compaction output stays
     // cached); denying the filtered task's writes too runs the uncached
     // write path.
-    AttachVerified(env, cg, "admission_filter", {kMixFilteredTask.tid},
-                   [](Ops& ops) {
-                     ops.admit_folio = [admit = ops.admit_folio](
-                                           CacheExtApi& api,
-                                           const AdmissionCtx& ctx) {
-                       return admit(api, ctx) &&
-                              !(ctx.is_write &&
-                                ctx.tid == kMixFilteredTask.tid);
-                     };
-                   });
+    policies::PolicyParams params;
+    params.filter_tids = {kMixFilteredTask.tid};
+    AttachVerified(env, cg, policy, params, [](Ops& ops) {
+      ops.admit_folio = [admit = ops.admit_folio](CacheExtApi& api,
+                                                  const AdmissionCtx& ctx) {
+        return admit(api, ctx) &&
+               !(ctx.is_write && ctx.tid == kMixFilteredTask.tid);
+      };
+    });
+  } else if (policy == "get_scan") {
+    policies::PolicyParams params;
+    params.scan_pids = {kMixScanTask.pid};
+    AttachVerified(env, cg, policy, params);
+  } else if (!policy.empty()) {
+    AttachVerified(env, cg, policy);
   }
   ASSERT_TRUE(env.cache()
                   .FadviseRange(lane, files[1], cg, Fadvise::kSequential, 0, 0)
@@ -462,7 +499,7 @@ void RunMix(MixPolicy policy, Line& line) {
   for (uint64_t n = 0; n < kMixOps; ++n) {
     const uint64_t f = rng.NextU64Below(kMixFiles);
     AddressSpace* as = files[f];
-    lane.set_task(rng.NextBool(0.25) ? kMixFilteredTask : kMixTask);
+    lane.set_task(rng.NextBool(0.25) ? second_task : kMixTask);
     const uint64_t kind = rng.NextU64Below(100);
     const uint64_t pages = 1 + rng.NextU64Below(kMixMaxPages);
     const bool unaligned = rng.NextBool(0.3);
@@ -528,6 +565,7 @@ void RunMix(MixPolicy policy, Line& line) {
   line.Add("failed", failed);
   line.Add("errors", errors);
   line.AddHex("read_fnv1a", read_hash);
+  line.AddHex("evict_fnv1a", evictions.hash());
   line.Add("write_hit_pages", write_hit_pages);
   line.Add("lane_ns", lane.now_ns());
   line.Add("other_lane_ns", other_lane.now_ns());
@@ -660,21 +698,18 @@ std::vector<Config> AllConfigs() {
   configs.push_back({"pc_randread_miss_small",
                      [](const Config&, Line& line) { RunRandread(line); },
                      ""});
-  configs.push_back({"mix_base_lru",
-                     [](const Config&, Line& line) {
-                       RunMix(MixPolicy::kBaseLru, line);
-                     },
-                     ""});
-  configs.push_back({"mix_ir_readahead",
-                     [](const Config&, Line& line) {
-                       RunMix(MixPolicy::kReadahead, line);
-                     },
-                     ""});
-  configs.push_back({"mix_admission_filter",
-                     [](const Config&, Line& line) {
-                       RunMix(MixPolicy::kAdmissionFilter, line);
-                     },
-                     ""});
+  for (const auto& [name, policy] :
+       {std::pair{"mix_base_lru", ""},
+        std::pair{"mix_ir_readahead", "ir_readahead"},
+        std::pair{"mix_admission_filter", "admission_filter"},
+        std::pair{"mix_noop", "noop"},
+        std::pair{"mix_fifo", "fifo"},
+        std::pair{"mix_mru", "mru"},
+        std::pair{"mix_get_scan", "get_scan"}}) {
+    configs.push_back(
+        {name, [](const Config& c, Line& line) { RunMix(c.policy, line); },
+         policy});
+  }
   for (const auto& [workload, tag] :
        {std::pair{workloads::YcsbWorkload::kA, "a"},
         std::pair{workloads::YcsbWorkload::kC, "c"}}) {
