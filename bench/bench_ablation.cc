@@ -14,9 +14,11 @@
 #include <memory>
 
 #include "bench/bench_common.h"
-#include "src/harness/belady.h"
+#include "src/bpf/ir/compile.h"
 #include "src/cache_ext/registry.h"
+#include "src/harness/belady.h"
 #include "src/policies/classic.h"
+#include "src/policies/ir_policies.h"
 #include "src/policies/prefetch.h"
 #include "src/search/corpus.h"
 
@@ -79,9 +81,9 @@ void AblateMruSkip() {
     corpus_config.total_bytes = corpus_bytes;
     auto info = search::GenerateCorpus(&env.disk(), corpus_config);
     CHECK(info.ok());
-    policies::MruParams mru;
-    mru.skip_fresh = skip;
-    auto policy = env.loader().Attach(cg, policies::MakeMruOps(mru));
+    auto mru = bpf::ir::CompileToOps(policies::IrMruPolicy({skip}));
+    CHECK(mru.ok());
+    auto policy = env.loader().Attach(cg, std::move(*mru));
     CHECK(policy.ok());
     search::FileSearcher searcher(&env.cache(), cg, info->files);
     auto result = harness::RunSearchWorkload(&searcher, cg, 4, 6,
@@ -107,7 +109,6 @@ void AblateReadahead() {
     bool stride_policy;
   } arms[] = {{"no readahead", 0, false},
               {"kernel heuristic (8)", 8, false},
-              {"kernel heuristic (32)", 32, false},
               {"stride_prefetcher policy", 0, true}};
   for (const auto& arm : arms) {
     harness::EnvOptions env_options;

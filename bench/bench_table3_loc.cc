@@ -1,17 +1,19 @@
-// Table 3: implementation complexity — lines of code per policy.
+// Table 3: implementation complexity — size of each policy.
 //
 // The paper counts eBPF LoC and userspace-loader LoC per policy (35-689 /
-// 101-262). We count the lines of our C++ policy implementations, which
-// play the role of the eBPF programs, and print them next to the paper's
-// numbers. Our counts are naturally different (C++ with comments vs
-// terse eBPF C), but the *ordering* — admission filter and FIFO smallest,
-// MGLRU largest — should hold.
+// 101-262). Policies written in the policy IR are counted the way the
+// verifier sees them: the instructions of every hook program, summed. The
+// policies still written as C++ std::function programs (LFU, S3-FIFO, LHD,
+// MGLRU) are counted by their source file's lines. Either count is printed
+// next to the paper's numbers; the *ordering* — admission filter and FIFO
+// smallest, MGLRU largest — should hold.
 
 #include <cstdio>
 #include <fstream>
 #include <string>
 
 #include "src/harness/reporter.h"
+#include "src/policies/ir_policies.h"
 
 namespace cache_ext::bench {
 namespace {
@@ -33,39 +35,53 @@ int CountLines(const std::string& relative_path) {
   return lines;
 }
 
-// A policy's "eBPF side" may be a slice of a shared file; ranges counted by
-// function markers would be brittle, so shared files are attributed fully
-// and noted.
+// Instructions across every hook program of an IR policy.
+int CountInsns(const bpf::ir::IrPolicy& policy) {
+  size_t insns = 0;
+  for (const bpf::ir::Program& program : policy.hooks) {
+    insns += program.size();
+  }
+  return static_cast<int>(insns);
+}
+
 void RunTable3() {
-  std::printf("Table 3: lines of code per policy (this repo vs paper)\n");
+  std::printf("Table 3: size of each policy (this repo vs paper)\n");
   harness::Table table(
       "Table 3 — policy implementation complexity",
-      {"policy", "this repo (C++)", "paper eBPF", "paper loader", "source"});
+      {"policy", "this repo", "unit", "paper eBPF", "paper loader", "source"});
+  const char* kIr = "IR insns";
+  const char* kCxx = "C++ lines";
   const struct {
     const char* name;
-    const char* file;
+    int size;
+    const char* unit;
     int paper_ebpf;
     int paper_loader;
-    const char* note;
+    const char* source;
   } rows[] = {
-      {"Admission filter", "src/policies/application_informed.cc", 35, 262,
-       "shared file (with GET-SCAN)"},
-      {"FIFO", "src/policies/classic.cc", 56, 131,
-       "shared file (noop/FIFO/MRU/LFU)"},
-      {"MRU", "src/policies/classic.cc", 101, 101, "shared file"},
-      {"LFU", "src/policies/classic.cc", 215, 110, "shared file"},
-      {"S3-FIFO", "src/policies/s3fifo.cc", 287, 157, ""},
-      {"GET-SCAN", "src/policies/application_informed.cc", 324, 112,
-       "shared file"},
-      {"LHD", "src/policies/lhd.cc", 367, 165, ""},
-      {"MGLRU", "src/policies/mglru_ext.cc", 689, 105, ""},
+      {"Admission filter", CountInsns(policies::IrAdmissionFilterPolicy({})),
+       kIr, 35, 262, "ir_policies.cc (+3 insns per filtered tid)"},
+      {"FIFO", CountInsns(policies::IrFifoPolicy()), kIr, 56, 131,
+       "ir_policies.cc"},
+      {"MRU", CountInsns(policies::IrMruPolicy()), kIr, 101, 101,
+       "ir_policies.cc"},
+      {"LFU", CountLines("src/policies/classic.cc"), kCxx, 215, 110,
+       "src/policies/classic.cc"},
+      {"S3-FIFO", CountLines("src/policies/s3fifo.cc"), kCxx, 287, 157,
+       "src/policies/s3fifo.cc"},
+      {"GET-SCAN", CountInsns(policies::IrGetScanPolicy({})), kIr, 324, 112,
+       "ir_policies.cc (+3 insns per scan pid)"},
+      {"LHD", CountLines("src/policies/lhd.cc"), kCxx, 367, 165,
+       "src/policies/lhd.cc"},
+      {"MGLRU", CountLines("src/policies/mglru_ext.cc"), kCxx, 689, 105,
+       "src/policies/mglru_ext.cc"},
   };
   for (const auto& row : rows) {
-    const int lines = CountLines(row.file);
     table.AddRow({row.name,
-                  lines >= 0 ? std::to_string(lines) : "(source not found)",
-                  std::to_string(row.paper_ebpf),
-                  std::to_string(row.paper_loader), row.note});
+                  row.size >= 0 ? std::to_string(row.size)
+                                : "(source not found)",
+                  row.unit, std::to_string(row.paper_ebpf),
+                  std::to_string(row.paper_loader), row.source});
   }
   table.Print();
   std::printf(

@@ -154,6 +154,9 @@ inline uint64_t LoadCtxT(const HookCtx& hctx) {
   if constexpr (field == CtxField::kForSync) {
     return hctx.writeback && hctx.writeback->for_sync ? 1 : 0;
   }
+  if constexpr (field == CtxField::kNrProposed) {
+    return hctx.evict ? hctx.evict->nr_candidates_proposed : 0;
+  }
   return 0;
 }
 
@@ -173,6 +176,8 @@ inline uint64_t LoadCtx(CtxField field, const HookCtx& hctx) {
     case CtxField::kNrPages: return LoadCtxT<CtxField::kNrPages>(hctx);
     case CtxField::kNrDirty: return LoadCtxT<CtxField::kNrDirty>(hctx);
     case CtxField::kForSync: return LoadCtxT<CtxField::kForSync>(hctx);
+    case CtxField::kNrProposed:
+      return LoadCtxT<CtxField::kNrProposed>(hctx);
   }
   return 0;
 }
@@ -213,10 +218,9 @@ inline void DoKfuncCallT(CacheExtApi& api, uint64_t* regs) {
     regs[R0] = id.ok() ? *id : 0;
   }
   if constexpr (kfunc == verifier::Kfunc::kCurrentTask) {
-    regs[R0] =
-        (static_cast<uint64_t>(static_cast<uint32_t>(api.CurrentPid()))
-         << 32) |
-        static_cast<uint32_t>(api.CurrentTid());
+    const TaskContext task = api.CurrentTask();
+    regs[R0] = (static_cast<uint64_t>(static_cast<uint32_t>(task.pid)) << 32) |
+               static_cast<uint32_t>(task.tid);
   }
   if constexpr (kfunc == verifier::Kfunc::kListIterate ||
                 kfunc == verifier::Kfunc::kListIterateScore) {

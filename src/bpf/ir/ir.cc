@@ -104,6 +104,7 @@ const char* CtxFieldName(CtxField field) {
     case CtxField::kNrPages:       return "ctx.nr_pages";
     case CtxField::kNrDirty:       return "ctx.nr_dirty";
     case CtxField::kForSync:       return "ctx.for_sync";
+    case CtxField::kNrProposed:    return "ctx.nr_candidates_proposed";
   }
   return "ctx.?";
 }

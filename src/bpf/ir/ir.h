@@ -111,6 +111,7 @@ enum class CtxField : uint8_t {
   kNrPages,        // should_writeback / writeback_order: folio span
   kNrDirty,        // should_writeback / writeback_order: cgroup dirty gauge
   kForSync,        // should_writeback / writeback_order: fsync harvest? 0/1
+  kNrProposed,     // evict_folios: candidates proposed so far (<= batch cap)
 };
 
 // Placement of examined folios for the loop forms (the IR supports the two

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/bpf/map.h"  // detail::ShardCountFor / detail::MixHash
+#include "src/fault/fault_injector.h"
 
 namespace cache_ext::bpf::ir {
 
@@ -49,6 +50,9 @@ uint64_t* IrMap::Lookup(uint64_t key) {
       return nullptr;
     }
     return &array_[static_cast<size_t>(key) * words_];
+  }
+  if (fault::InjectFault(fault::points::kBpfMapLookup)) {
+    return nullptr;  // injected lookup miss, as in bpf::HashMap
   }
   const uint64_t mixed = detail::MixHash(key);
   Shard& shard = shards_[mixed & shard_mask_];
@@ -145,6 +149,9 @@ uint64_t IrMap::Update(uint64_t key, uint64_t value) {
     }
     WordStore(&array_[static_cast<size_t>(key) * words_], value);
     return 0;
+  }
+  if (fault::InjectFault(fault::points::kBpfMapUpdate)) {
+    return 1;  // injected -ENOMEM/-E2BIG, as in bpf::HashMap
   }
   const uint64_t mixed = detail::MixHash(key);
   Shard& shard = shards_[mixed & shard_mask_];

@@ -24,7 +24,10 @@
 //    so the lock-free kLoad/kStore paths are memory-safe without EBR.
 //
 // An insert beyond capacity fails with "full", which is how the
-// verifier's occupancy bound is *enforced* rather than assumed.
+// verifier's occupancy bound is *enforced* rather than assumed. Hash-map
+// Lookup and Update consult the bpf.map.lookup / bpf.map.update fault
+// points, as bpf::HashMap does; array maps stay fault-free, like
+// bpf::ArrayMap.
 
 #ifndef SRC_BPF_IR_IR_MAP_H_
 #define SRC_BPF_IR_IR_MAP_H_

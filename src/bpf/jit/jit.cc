@@ -301,6 +301,7 @@ StepFn CtxLoadFn(CtxField field) {
     case CtxField::kNrPages: return &StCtxLoad<CtxField::kNrPages>;
     case CtxField::kNrDirty: return &StCtxLoad<CtxField::kNrDirty>;
     case CtxField::kForSync: return &StCtxLoad<CtxField::kForSync>;
+    case CtxField::kNrProposed: return &StCtxLoad<CtxField::kNrProposed>;
   }
   return nullptr;
 }

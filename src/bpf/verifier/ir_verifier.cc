@@ -8,6 +8,7 @@
 #include <tuple>
 #include <vector>
 
+#include "src/pagecache/eviction.h"
 #include "src/util/logging.h"
 
 namespace cache_ext::bpf::verifier {
@@ -252,8 +253,7 @@ RegAbs AluRange(AluOp op, const RegAbs& l, const RegAbs& r) {
 
 // Which hooks may read each ctx field, and the field's abstract value —
 // the IR analogue of the kernel typing each program's context argument.
-std::optional<RegAbs> CtxFieldIn(Hook hook, CtxField field,
-                                 uint64_t candidate_cap) {
+std::optional<RegAbs> CtxFieldIn(Hook hook, CtxField field) {
   const bool folio_hook =
       hook == Hook::kFolioAdded || hook == Hook::kFolioAccessed ||
       hook == Hook::kFolioRemoved || hook == Hook::kFolioRefaulted;
@@ -266,7 +266,7 @@ std::optional<RegAbs> CtxFieldIn(Hook hook, CtxField field,
       if (folio_hook) return Folio();
       break;
     case CtxField::kNrRequested:
-      if (hook == Hook::kEvictFolios) return Scalar(0, candidate_cap);
+      if (hook == Hook::kEvictFolios) return Scalar(0, kMaxEvictionBatch);
       if (hook == Hook::kReadahead || hook == Hook::kAdmitOrder) {
         return Scalar(0, std::numeric_limits<uint32_t>::max());
       }
@@ -305,6 +305,9 @@ std::optional<RegAbs> CtxFieldIn(Hook hook, CtxField field,
       break;
     case CtxField::kForSync:
       if (writeback_hook) return Scalar(0, 1);
+      break;
+    case CtxField::kNrProposed:
+      if (hook == Hook::kEvictFolios) return Scalar(0, kMaxEvictionBatch);
       break;
   }
   return std::nullopt;
@@ -347,13 +350,11 @@ bool HookReturnsValue(Hook hook) {
 
 class HookAnalyzer {
  public:
-  HookAnalyzer(const ir::IrPolicy& policy, Hook hook, VerifierLog* log,
-               uint64_t candidate_cap)
+  HookAnalyzer(const ir::IrPolicy& policy, Hook hook, VerifierLog* log)
       : policy_(policy),
         prog_(policy.hook(hook)),
         hook_(hook),
         log_(log),
-        candidate_cap_(candidate_cap),
         const_key_(policy.hook(hook).size(), kKeyUnvisited) {}
 
   // Runs every pass; returns true iff all proofs for this hook succeeded.
@@ -424,7 +425,6 @@ class HookAnalyzer {
   const Program& prog_;
   const Hook hook_;
   VerifierLog* const log_;
-  const uint64_t candidate_cap_;
 
   // Per-pc constant-key lattice: kKeyUnvisited until a kMapLookup at pc is
   // first interpreted, then the constant (>= 0) or -1 (not constant).
@@ -802,7 +802,7 @@ bool HookAnalyzer::Transfer(size_t pc, Flow cur, bool in_body,
       break;
     }
     case Op::kCtxLoad: {
-      const auto value = CtxFieldIn(hook_, ins.ctx, candidate_cap_);
+      const auto value = CtxFieldIn(hook_, ins.ctx);
       if (!value) {
         Err(Check::kIrRegSafety, pc,
             std::string(ir::CtxFieldName(ins.ctx)) +
@@ -1251,8 +1251,7 @@ bool HookAnalyzer::Run() {
 }  // namespace
 
 Expected<IrAnalysis> AnalyzeIrPolicy(const ir::IrPolicy& policy,
-                                     VerifierLog* log,
-                                     const IrAnalysisOptions& opts) {
+                                     VerifierLog* log) {
   CHECK(log != nullptr);
   bool ok = true;
 
@@ -1299,7 +1298,7 @@ Expected<IrAnalysis> AnalyzeIrPolicy(const ir::IrPolicy& policy,
     if (!policy.HookPresent(hook)) {
       continue;
     }
-    HookAnalyzer analyzer(policy, hook, log, opts.candidate_cap);
+    HookAnalyzer analyzer(policy, hook, log);
     if (!analyzer.Run()) {
       ok = false;
       continue;
@@ -1311,7 +1310,7 @@ Expected<IrAnalysis> AnalyzeIrPolicy(const ir::IrPolicy& policy,
       lists = analyzer.lists_created();
     }
     if (hook == Hook::kEvictFolios) {
-      candidates = std::min(analyzer.candidates_possible(), opts.candidate_cap);
+      candidates = std::min(analyzer.candidates_possible(), kMaxEvictionBatch);
     }
     // The derived worst case must fit the policy's own budget: this is the
     // proof that the program cannot be killed mid-flight by the breaker.

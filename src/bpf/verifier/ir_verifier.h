@@ -53,12 +53,6 @@
 
 namespace cache_ext::bpf::verifier {
 
-struct IrAnalysisOptions {
-  // Capacity of the eviction candidate buffer (kMaxEvictionBatch); bounds
-  // both the derived candidate count and the range of ctx.nr_requested.
-  uint64_t candidate_cap = 32;
-};
-
 // Per-hook compile-time facts the abstract interpretation proves as a
 // side effect — exported so the JIT backend (src/bpf/jit/) can specialize
 // without re-deriving them, the way the kernel JIT consumes the
@@ -81,10 +75,11 @@ struct IrAnalysis {
 
 // Analyze every hook program of `policy`, appending one finding per check
 // per hook to `log` (required). Returns the derived spec iff every proof
-// succeeded; otherwise InvalidArgument carrying the first failure.
+// succeeded; otherwise InvalidArgument carrying the first failure. The
+// eviction candidate buffer (kMaxEvictionBatch) bounds both the derived
+// candidate count and the ranges of ctx.nr_requested and ctx.nr_proposed.
 Expected<IrAnalysis> AnalyzeIrPolicy(const ir::IrPolicy& policy,
-                                     VerifierLog* log,
-                                     const IrAnalysisOptions& opts = {});
+                                     VerifierLog* log);
 
 }  // namespace cache_ext::bpf::verifier
 

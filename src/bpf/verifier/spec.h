@@ -79,7 +79,7 @@ enum class Kfunc : uint8_t {
   kListIdOf,
   kListIterate,
   kListIterateScore,
-  kCurrentTask,  // bpf_get_current_pid_tgid() analogue (CurrentPid/Tid)
+  kCurrentTask,  // bpf_get_current_pid_tgid() analogue (CurrentTask)
 };
 inline constexpr size_t kNumKfuncs = 9;
 

@@ -33,16 +33,15 @@ bool ValidNameChar(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
 }
 
-bool CheckName(const cache_ext::Ops& ops, VerifierLog* log,
-               const VerifyOptions& opts) {
+bool CheckName(const cache_ext::Ops& ops, VerifierLog* log) {
   if (ops.name.empty()) {
     log->Fail(Check::kName, "", "ops.name must not be empty");
     return false;
   }
-  if (ops.name.size() >= opts.name_max_len) {
+  if (ops.name.size() >= kCacheExtOpsNameLen) {
     log->Fail(Check::kName, "",
               "ops.name exceeds CACHE_EXT_OPS_NAME_LEN (" +
-                  U64(ops.name.size()) + " >= " + U64(opts.name_max_len) +
+                  U64(ops.name.size()) + " >= " + U64(kCacheExtOpsNameLen) +
                   ")");
     return false;
   }
@@ -109,8 +108,7 @@ bool HookPresent(const cache_ext::Ops& ops, Hook hook) {
   return false;
 }
 
-bool CheckSpec(const cache_ext::Ops& ops, VerifierLog* log,
-               const VerifyOptions& opts) {
+bool CheckSpec(const cache_ext::Ops& ops, VerifierLog* log) {
   const ProgramSpec& spec = ops.spec;
   bool ok = true;
 
@@ -263,17 +261,17 @@ bool CheckSpec(const cache_ext::Ops& ops, VerifierLog* log,
   }
 
   // Candidate bound: the declared batch must fit the candidate buffer.
-  if (spec.max_candidates_per_evict > opts.candidate_cap) {
+  if (spec.max_candidates_per_evict > kMaxEvictionBatch) {
     log->Fail(Check::kSpecCandidateBound, HookName(Hook::kEvictFolios),
               "declared candidates per eviction (" +
                   U64(spec.max_candidates_per_evict) +
                   ") exceed the candidate buffer (" +
-                  U64(opts.candidate_cap) + ")");
+                  U64(kMaxEvictionBatch) + ")");
     ok = false;
   } else {
     log->Pass(Check::kSpecCandidateBound, "",
               U64(spec.max_candidates_per_evict) + " candidate(s) fit the " +
-                  U64(opts.candidate_cap) + "-entry buffer");
+                  U64(kMaxEvictionBatch) + "-entry buffer");
   }
 
   // Kfunc reachability and consistency.
@@ -395,19 +393,20 @@ struct Invocation {
   }
 };
 
+// Poisoned folios the dry run admits, evicts from and removes.
+constexpr uint64_t kDryRunFolios = 6;
+
 class DryRunner {
  public:
-  DryRunner(const cache_ext::Ops& ops, VerifierLog* log,
-            const VerifyOptions& opts)
+  DryRunner(const cache_ext::Ops& ops, VerifierLog* log)
       : ops_(ops),
         log_(log),
-        opts_(opts),
         cg_(/*id=*/0, "cache_ext_verifier", /*limit_pages=*/256),
         mapping_(kPoisonMappingId, /*file=*/0, "cache_ext_verifier_poison"),
         registry_(/*nr_buckets=*/64),
         api_(&registry_) {
     api_.set_observer(&recorder_);
-    folios_.resize(std::max<uint64_t>(opts.dry_run_folios, 2));
+    folios_.resize(kDryRunFolios);
     for (size_t i = 0; i < folios_.size(); ++i) {
       folios_[i].mapping = &mapping_;
       folios_[i].index = i;
@@ -563,18 +562,18 @@ class DryRunner {
   void RunEvict(const std::string& stage) {
     cache_ext::EvictionCtx ctx;
     ctx.nr_candidates_requested =
-        std::min<uint64_t>(folios_.size(), opts_.candidate_cap);
+        std::min<uint64_t>(folios_.size(), kMaxEvictionBatch);
     const Invocation inv = RunHook(
         Hook::kEvictFolios, [&] { ops_.evict_folios(api_, &ctx, &cg_); });
 
     const std::string hook = HookName(Hook::kEvictFolios);
-    if (ctx.nr_candidates_proposed > opts_.candidate_cap ||
+    if (ctx.nr_candidates_proposed > kMaxEvictionBatch ||
         ctx.nr_candidates_proposed > ctx.nr_candidates_requested) {
       log_->Fail(Check::kDryRunCandidates, hook,
                  stage + ": proposed " + U64(ctx.nr_candidates_proposed) +
                      " candidates for a request of " +
                      U64(ctx.nr_candidates_requested) + " (buffer holds " +
-                     U64(opts_.candidate_cap) + ")",
+                     U64(kMaxEvictionBatch) + ")",
                  inv.Trace());
     }
     if (ops_.spec.declared &&
@@ -729,7 +728,6 @@ class DryRunner {
 
   const cache_ext::Ops& ops_;
   VerifierLog* log_;
-  const VerifyOptions& opts_;
 
   cache_ext::MemCgroup cg_;
   cache_ext::AddressSpace mapping_;
@@ -748,10 +746,9 @@ class DryRunner {
 
 }  // namespace
 
-Status VerifyPolicy(const cache_ext::Ops& ops, VerifierLog* log,
-                    const VerifyOptions& opts) {
+Status VerifyPolicy(const cache_ext::Ops& ops, VerifierLog* log) {
   assert(log != nullptr);
-  bool basics_ok = CheckName(ops, log, opts);
+  bool basics_ok = CheckName(ops, log);
   basics_ok = CheckRequiredPrograms(ops, log) && basics_ok;
   if (ops.helper_budget == 0) {
     log->Fail(Check::kHelperBudget, "", "helper budget must be positive");
@@ -766,9 +763,7 @@ Status VerifyPolicy(const cache_ext::Ops& ops, VerifierLog* log,
   // CompileToOps) must agree exactly, so nothing between compile and
   // attach can loosen the declaration the later passes verify against.
   if (ops.ir != nullptr) {
-    IrAnalysisOptions ir_opts;
-    ir_opts.candidate_cap = opts.candidate_cap;
-    auto analysis = AnalyzeIrPolicy(*ops.ir, log, ir_opts);
+    auto analysis = AnalyzeIrPolicy(*ops.ir, log);
     if (!analysis.ok()) {
       basics_ok = false;
     } else if (!(analysis->spec == ops.spec)) {
@@ -789,11 +784,10 @@ Status VerifyPolicy(const cache_ext::Ops& ops, VerifierLog* log,
     log->Pass(Check::kSpecCoverage, "",
               "no ProgramSpec declared; spec checking and dry run skipped");
   } else if (basics_ok) {
-    const bool spec_ok = CheckSpec(ops, log, opts);
     // Only dry-run a policy whose declaration is itself coherent: the dry
     // run judges behaviour against the declaration.
-    if (spec_ok && opts.dry_run) {
-      DryRunner(ops, log, opts).Run();
+    if (CheckSpec(ops, log)) {
+      DryRunner(ops, log).Run();
     }
   }
 

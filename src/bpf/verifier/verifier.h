@@ -44,22 +44,11 @@
 
 namespace cache_ext::bpf::verifier {
 
-struct VerifyOptions {
-  // CACHE_EXT_OPS_NAME_LEN: ops.name must be shorter than this.
-  uint64_t name_max_len = 64;
-  // Capacity of the eviction candidate buffer (kMaxEvictionBatch).
-  uint64_t candidate_cap = 32;
-  // Poisoned folios admitted during the dry run.
-  uint64_t dry_run_folios = 6;
-  // Run pass 2. Only applies to policies with a declared spec.
-  bool dry_run = true;
-};
-
 // Run both passes over `ops`, appending findings to `log` (required).
-// Returns OK iff every check passed; otherwise InvalidArgument carrying the
-// first failure's summary.
-Status VerifyPolicy(const cache_ext::Ops& ops, VerifierLog* log,
-                    const VerifyOptions& opts = {});
+// ops.name must be shorter than kCacheExtOpsNameLen, and proposals must fit
+// the kMaxEvictionBatch candidate buffer. Returns OK iff every check
+// passed; otherwise InvalidArgument carrying the first failure's summary.
+Status VerifyPolicy(const cache_ext::Ops& ops, VerifierLog* log);
 
 }  // namespace cache_ext::bpf::verifier
 

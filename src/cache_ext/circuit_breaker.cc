@@ -4,10 +4,19 @@
 
 namespace cache_ext {
 
-HookCircuitBreaker::HookCircuitBreaker(const CircuitBreakerOptions& options)
-    : options_(options) {
-  CHECK_GT(options_.window, 0u);
-}
+namespace {
+// Invocations per decay window (per hook).
+constexpr uint64_t kWindow = 64;
+// A hook never trips before seeing this many invocations in its window.
+constexpr uint64_t kMinSamples = 16;
+// Violation rate within the window that trips the hook.
+constexpr double kTripRate = 0.5;
+// Tripped hooks that escalate to a full detach.
+constexpr uint32_t kHooksToDetach = 2;
+// Lifetime violations on any single hook that escalate even without a
+// second trip ("the violation rate stays high").
+constexpr uint64_t kHardViolationLimit = 512;
+}  // namespace
 
 bool HookCircuitBreaker::Record(PolicyHook hook, bool violation) {
   const auto index = static_cast<uint32_t>(hook);
@@ -22,9 +31,9 @@ bool HookCircuitBreaker::Record(PolicyHook hook, bool violation) {
   }
 
   bool newly_tripped = false;
-  if (!st.tripped && st.window_invocations >= options_.min_samples &&
+  if (!st.tripped && st.window_invocations >= kMinSamples &&
       static_cast<double>(st.window_violations) >=
-          options_.trip_rate * static_cast<double>(st.window_invocations)) {
+          kTripRate * static_cast<double>(st.window_invocations)) {
     st.tripped = true;
     ++st.trips;
     newly_tripped = true;
@@ -32,7 +41,7 @@ bool HookCircuitBreaker::Record(PolicyHook hook, bool violation) {
   }
 
   // Exponential decay: halve the window counters so old outcomes age out.
-  if (st.window_invocations >= options_.window) {
+  if (st.window_invocations >= kWindow) {
     st.window_invocations /= 2;
     st.window_violations /= 2;
   }
@@ -42,8 +51,8 @@ bool HookCircuitBreaker::Record(PolicyHook hook, bool violation) {
     for (const HookState& h : hooks_) {
       tripped_hooks += h.tripped ? 1 : 0;
     }
-    if (tripped_hooks >= options_.hooks_to_detach ||
-        st.total_violations >= options_.hard_violation_limit) {
+    if (tripped_hooks >= kHooksToDetach ||
+        st.total_violations >= kHardViolationLimit) {
       escalated_.store(true, std::memory_order_relaxed);
     }
   }

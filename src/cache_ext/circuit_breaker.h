@@ -11,9 +11,10 @@
 // accumulating past a hard cap.
 //
 // The sliding window is an exponential-decay window: per-hook counters are
-// halved every `window` invocations, so old violations age out and a burst
-// of failures trips quickly while a long-healthy hook shrugs off a stray
-// abort.
+// halved every 64 invocations, so old violations age out and a burst of
+// failures trips quickly while a long-healthy hook shrugs off a stray abort.
+// The thresholds are constants in circuit_breaker.cc, the same for every
+// attachment.
 
 #ifndef SRC_CACHE_EXT_CIRCUIT_BREAKER_H_
 #define SRC_CACHE_EXT_CIRCUIT_BREAKER_H_
@@ -27,24 +28,8 @@
 
 namespace cache_ext {
 
-struct CircuitBreakerOptions {
-  // Invocations per decay window (per hook).
-  uint32_t window = 64;
-  // A hook never trips before seeing this many invocations in its window.
-  uint32_t min_samples = 16;
-  // Violation rate within the window that trips the hook.
-  double trip_rate = 0.5;
-  // Tripped hooks that escalate to a full detach.
-  uint32_t hooks_to_detach = 2;
-  // Lifetime violations on any single hook that escalate even without a
-  // second trip ("the violation rate stays high").
-  uint64_t hard_violation_limit = 512;
-};
-
 class HookCircuitBreaker {
  public:
-  explicit HookCircuitBreaker(const CircuitBreakerOptions& options);
-
   // Record one hook invocation outcome. Returns true when this record
   // tripped the hook (transition only, not for already-tripped hooks).
   bool Record(PolicyHook hook, bool violation);
@@ -56,8 +41,7 @@ class HookCircuitBreaker {
   uint32_t degraded_mask() const {
     return degraded_mask_.load(std::memory_order_relaxed);
   }
-  // Escalation latch: hooks_to_detach trips, or hard_violation_limit
-  // violations on one hook.
+  // Escalation latch: two hooks tripped, or 512 violations on one hook.
   bool escalated() const {
     return escalated_.load(std::memory_order_relaxed);
   }
@@ -74,7 +58,6 @@ class HookCircuitBreaker {
     bool tripped = false;
   };
 
-  CircuitBreakerOptions options_;
   mutable std::mutex mu_;
   std::array<HookState, kNumPolicyHooks> hooks_;
   // Mirrors of state readable without the lock, for the dispatch fast path.

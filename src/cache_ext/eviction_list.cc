@@ -201,16 +201,10 @@ Expected<uint64_t> CacheExtApi::ListIdOf(const Folio* folio) const {
   return node->list_id;
 }
 
-int32_t CacheExtApi::CurrentPid() const {
+TaskContext CacheExtApi::CurrentTask() const {
   bpf::ChargeHelperCall();
   Notify(bpf::verifier::Kfunc::kCurrentTask, ErrorCode::kOk, 0);
-  return GetCurrentTask().pid;
-}
-
-int32_t CacheExtApi::CurrentTid() const {
-  bpf::ChargeHelperCall();
-  Notify(bpf::verifier::Kfunc::kCurrentTask, ErrorCode::kOk, 0);
-  return GetCurrentTask().tid;
+  return GetCurrentTask();
 }
 
 void CacheExtApi::UnlinkForRemoval(Folio* folio) {

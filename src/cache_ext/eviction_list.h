@@ -23,6 +23,7 @@
 #include "src/bpf/verifier/spec.h"
 #include "src/cache_ext/registry.h"
 #include "src/pagecache/eviction.h"
+#include "src/sim/lane.h"
 #include "src/util/status.h"
 #include "src/util/thread_annotations.h"
 
@@ -154,9 +155,9 @@ class CacheExtApi {
   // queue a folio was in when it is removed (S3-FIFO's ghost insertion).
   Expected<uint64_t> ListIdOf(const Folio* folio) const;
 
-  // bpf_get_current_pid_tgid() analogues (see src/pagecache/current_task.h).
-  int32_t CurrentPid() const;
-  int32_t CurrentTid() const;
+  // bpf_get_current_pid_tgid() analogue (see src/pagecache/current_task.h):
+  // the acting task's pid and tid for one helper call.
+  TaskContext CurrentTask() const;
 
   // cache_ext_list_iterate(), simple mode.
   Status ListIterate(uint64_t list_id, const IterOpts& opts, EvictionCtx* ctx,

@@ -23,8 +23,7 @@ CacheExtPolicy::CacheExtPolicy(Ops ops, MemCgroup* cg,
       registry_(cg->limit_pages()),
       api_(&registry_),
       per_event_cost_ns_(costs.hook_dispatch_ns + costs.registry_op_ns +
-                         ops_.program_cost_ns),
-      breaker_(ops_.breaker) {}
+                         ops_.program_cost_ns) {}
 
 template <typename Fn>
 void CacheExtPolicy::RunProgram(PolicyHook hook, Fn&& fn) {

@@ -18,7 +18,6 @@
 #include <string>
 
 #include "src/bpf/verifier/spec.h"
-#include "src/cache_ext/circuit_breaker.h"
 #include "src/cgroup/memcg.h"
 #include "src/mm/folio.h"
 #include "src/pagecache/eviction.h"
@@ -83,10 +82,6 @@ struct Ops {
   // Helper-call budget per program invocation (runtime stand-in for the
   // verifier's instruction limit).
   uint64_t helper_budget = 1 << 16;
-
-  // Per-hook circuit-breaker thresholds for this policy's attachment (see
-  // src/cache_ext/circuit_breaker.h).
-  CircuitBreakerOptions breaker;
 
   // Declarative safety contract: worst-case helper calls, loop bounds, map
   // occupancy, and kfunc usage per hook. Policies that declare a spec get

@@ -3,127 +3,12 @@
 #include <memory>
 
 #include "src/bpf/folio_local_storage.h"
-#include "src/bpf/map.h"
 #include "src/cache_ext/eviction_list.h"
 
 namespace cache_ext::policies {
 
 using bpf::verifier::Hook;
 using bpf::verifier::Kfunc;
-
-Ops MakeNoopOps() {
-  Ops ops;
-  ops.name = "noop";
-  ops.program_cost_ns = 30;
-  ops.policy_init = [](CacheExtApi&, MemCgroup*) -> int32_t { return 0; };
-  ops.folio_added = [](CacheExtApi&, Folio*) {};
-  ops.folio_accessed = [](CacheExtApi&, Folio*) {};
-  ops.folio_removed = [](CacheExtApi&, Folio*) {};
-  // Propose nothing: the kernel's fallback evicts via the default policy.
-  ops.evict_folios = [](CacheExtApi&, EvictionCtx*, MemCgroup*) {};
-  ops.spec.DeclareHook(Hook::kPolicyInit, 0)
-      .DeclareHook(Hook::kEvictFolios, 0)
-      .DeclareHook(Hook::kFolioAdded, 0)
-      .DeclareHook(Hook::kFolioAccessed, 0)
-      .DeclareHook(Hook::kFolioRemoved, 0);
-  return ops;
-}
-
-Ops MakeFifoOps() {
-  struct State {
-    uint64_t list = 0;
-  };
-  auto st = std::make_shared<State>();
-
-  Ops ops;
-  ops.name = "fifo";
-  ops.program_cost_ns = 60;
-  ops.policy_init = [st](CacheExtApi& api, MemCgroup*) -> int32_t {
-    auto list = api.ListCreate();
-    if (!list.ok()) {
-      return -1;
-    }
-    st->list = *list;
-    return 0;
-  };
-  ops.folio_added = [st](CacheExtApi& api, Folio* folio) {
-    (void)api.ListAdd(st->list, folio, /*tail=*/true);
-  };
-  ops.folio_accessed = [](CacheExtApi&, Folio*) {};
-  ops.folio_removed = [](CacheExtApi&, Folio*) {};
-  ops.evict_folios = [st](CacheExtApi& api, EvictionCtx* ctx, MemCgroup*) {
-    IterOpts opts;
-    opts.nr_scan = 4 * ctx->nr_candidates_requested;
-    // Rotate proposed folios to the tail: evicted ones are unlinked by the
-    // framework anyway, and folios the kernel refused don't clog the head.
-    opts.on_evict = IterPlacement::kMoveToTail;
-    (void)api.ListIterate(st->list, opts, ctx,
-                          [](Folio*) { return IterVerdict::kEvict; });
-  };
-  // Worst-case eviction scan: 4x a full batch; iterate charges one helper
-  // call per examined folio plus one for the call itself.
-  ops.spec.DeclareLists(1)
-      .DeclareCandidates(kMaxEvictionBatch)
-      .DeclareHook(Hook::kPolicyInit, 1, {Kfunc::kListCreate})
-      .DeclareHook(Hook::kFolioAdded, 1, {Kfunc::kListAdd})
-      .DeclareHook(Hook::kFolioAccessed, 0)
-      .DeclareHook(Hook::kFolioRemoved, 0)
-      .DeclareHook(Hook::kEvictFolios, 1 + 4 * kMaxEvictionBatch,
-                   {Kfunc::kListIterate},
-                   /*max_loop_iters=*/4 * kMaxEvictionBatch);
-  return ops;
-}
-
-Ops MakeMruOps(const MruParams& params) {
-  struct State {
-    uint64_t list = 0;
-    uint64_t skip_fresh;
-  };
-  auto st = std::make_shared<State>();
-  st->skip_fresh = params.skip_fresh;
-
-  Ops ops;
-  ops.name = "mru";
-  ops.program_cost_ns = 80;
-  ops.policy_init = [st](CacheExtApi& api, MemCgroup*) -> int32_t {
-    auto list = api.ListCreate();
-    if (!list.ok()) {
-      return -1;
-    }
-    st->list = *list;
-    return 0;
-  };
-  ops.folio_added = [st](CacheExtApi& api, Folio* folio) {
-    (void)api.ListAdd(st->list, folio, /*tail=*/false);  // head = newest
-  };
-  ops.folio_accessed = [st](CacheExtApi& api, Folio* folio) {
-    (void)api.ListMove(st->list, folio, /*tail=*/false);
-  };
-  ops.folio_removed = [](CacheExtApi&, Folio*) {};
-  ops.evict_folios = [st](CacheExtApi& api, EvictionCtx* ctx, MemCgroup*) {
-    IterOpts opts;
-    opts.nr_scan = st->skip_fresh + 4 * ctx->nr_candidates_requested;
-    opts.on_skip = IterPlacement::kKeepInPlace;  // fresh folios stay put
-    opts.on_evict = IterPlacement::kMoveToTail;
-    uint64_t seen = 0;
-    (void)api.ListIterate(st->list, opts, ctx, [st, &seen](Folio*) {
-      // Skip the freshest folios: they may still be in use by the kernel to
-      // service the I/O that inserted them (§5.4).
-      return seen++ < st->skip_fresh ? IterVerdict::kSkip
-                                     : IterVerdict::kEvict;
-    });
-  };
-  const uint64_t scan = params.skip_fresh + 4 * kMaxEvictionBatch;
-  ops.spec.DeclareLists(1)
-      .DeclareCandidates(kMaxEvictionBatch)
-      .DeclareHook(Hook::kPolicyInit, 1, {Kfunc::kListCreate})
-      .DeclareHook(Hook::kFolioAdded, 1, {Kfunc::kListAdd})
-      .DeclareHook(Hook::kFolioAccessed, 1, {Kfunc::kListMove})
-      .DeclareHook(Hook::kFolioRemoved, 0)
-      .DeclareHook(Hook::kEvictFolios, 1 + scan, {Kfunc::kListIterate},
-                   /*max_loop_iters=*/scan);
-  return ops;
-}
 
 Ops MakeLfuOps(const LfuParams& params) {
   struct State {

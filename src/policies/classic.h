@@ -1,9 +1,9 @@
-// Classic cache_ext policies: no-op, FIFO, MRU, LFU (§4.2.5, §5.4).
-//
-// Each Make*Ops() returns the struct_ops bundle for one policy, written the
-// way the paper's eBPF programs are: state in bpf:: maps, folios organized
-// via the eviction-list kfuncs, no floating point, and failures of map
-// updates tolerated (the framework's fallback covers under-proposal).
+// LFU on cache_ext (§4.2.5), written the way the paper's eBPF program is:
+// frequencies in folio-local storage, folios organized via the
+// eviction-list kfuncs, no floating point, and failures of map updates
+// tolerated (the framework's fallback covers under-proposal). It stays a
+// native policy until the IR has folio-local storage; noop, FIFO and MRU
+// are IR programs (ir_policies.h).
 
 #ifndef SRC_POLICIES_CLASSIC_H_
 #define SRC_POLICIES_CLASSIC_H_
@@ -13,24 +13,6 @@
 #include "src/cache_ext/ops.h"
 
 namespace cache_ext::policies {
-
-// No-op policy: participates in all hooks (so the framework maintains the
-// registry and charges dispatch overhead) but never proposes candidates,
-// deferring eviction to the kernel's default policy via the fallback path.
-// Used to measure baseline framework overhead (§6.3.2, Table 4).
-Ops MakeNoopOps();
-
-// FIFO: evict in insertion order (§5.4).
-Ops MakeFifoOps();
-
-struct MruParams {
-  // Freshly-inserted folios to skip at the head of the list, §5.4: "we skip
-  // a small fixed number of folios ... before proposing eviction
-  // candidates" (they may still be in use by the kernel for I/O).
-  uint64_t skip_fresh = 24;
-};
-// MRU: evict the most recently used first; ideal for cyclic scans (§5.4).
-Ops MakeMruOps(const MruParams& params = {});
 
 struct LfuParams {
   // Map capacity; size to the cgroup's page limit (plus slack).

@@ -1,8 +1,9 @@
 #include "src/policies/policy_factory.h"
 
 #include <algorithm>
+#include <optional>
 
-#include "src/policies/application_informed.h"
+#include "src/bpf/ir/compile.h"
 #include "src/policies/classic.h"
 #include "src/policies/ir_policies.h"
 #include "src/policies/lhd.h"
@@ -17,16 +18,19 @@ Expected<PolicyBundle> MakePolicy(std::string_view name,
   PolicyBundle bundle;
   const auto capacity32 = static_cast<uint32_t>(
       std::min<uint64_t>(params.capacity_pages, UINT32_MAX / 4));
+  // Policies written in the IR: verified (spec derived) and compiled here.
+  std::optional<bpf::ir::IrPolicy> ir;
   if (name == "noop") {
-    bundle.ops = MakeNoopOps();
-  } else if (name == "fifo") {
-    bundle.ops = MakeFifoOps();
+    ir = IrNoopPolicy();
+  } else if (name == "fifo" || name == "ir_fifo") {
+    ir = IrFifoPolicy();
+    ir->name = name;
   } else if (name == "mru") {
     MruParams p;
     // Skip a window of freshest folios proportional to the cache, clamped:
     // large caches skip more in-flight folios, tiny caches barely any.
     p.skip_fresh = std::clamp<uint64_t>(params.capacity_pages / 64, 4, 64);
-    bundle.ops = MakeMruOps(p);
+    ir = IrMruPolicy(p);
   } else if (name == "lfu") {
     LfuParams p;
     p.max_folios = 2 * capacity32 + 16;
@@ -61,37 +65,32 @@ Expected<PolicyBundle> MakePolicy(std::string_view name,
     GetScanParams p;
     p.capacity_pages = params.capacity_pages;
     p.scan_pids = params.scan_pids;
-    bundle.ops = MakeGetScanOps(p);
-  } else if (name == "ir_fifo") {
-    auto ops = MakeIrFifoOps();
-    if (!ops.ok()) return ops.status();
-    bundle.ops = std::move(*ops);
+    ir = IrGetScanPolicy(p);
   } else if (name == "ir_lru") {
-    auto ops = MakeIrLruOps();
-    if (!ops.ok()) return ops.status();
-    bundle.ops = std::move(*ops);
+    ir = IrLruPolicy();
   } else if (name == "ir_lfu") {
     IrLfuParams p;
     p.max_folios = 2 * capacity32 + 16;
-    auto ops = MakeIrLfuOps(p);
-    if (!ops.ok()) return ops.status();
-    bundle.ops = std::move(*ops);
+    ir = IrLfuPolicy(p);
   } else if (name == "ir_readahead") {
-    auto ops = MakeIrReadaheadOps();
-    if (!ops.ok()) return ops.status();
-    bundle.ops = std::move(*ops);
+    ir = IrReadaheadPolicy();
   } else if (name == "ir_wb_lsm") {
-    auto ops = MakeIrWbLsmOps();
-    if (!ops.ok()) return ops.status();
-    bundle.ops = std::move(*ops);
+    ir = IrWbLsmPolicy();
   } else if (name == "stride_prefetcher") {
     bundle.ops = MakeStridePrefetcherOps();
   } else if (name == "admission_filter") {
     AdmissionFilterParams p;
     p.filtered_tids = params.filter_tids;
-    bundle.ops = MakeAdmissionFilterOps(p);
+    ir = IrAdmissionFilterPolicy(p);
   } else {
     return InvalidArgument("unknown policy: " + std::string(name));
+  }
+  if (ir.has_value()) {
+    auto ops = bpf::ir::CompileToOps(*ir);
+    if (!ops.ok()) {
+      return ops.status();
+    }
+    bundle.ops = std::move(*ops);
   }
   return bundle;
 }

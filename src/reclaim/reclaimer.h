@@ -91,7 +91,7 @@ class CgroupReclaimControl {
   // cgroup's lock, like the policies it drives.
   Lane& lane() { return lane_; }
   // Background eviction hooks run as the reclaimer task (pid 0/tid 0, a
-  // kernel thread) — policies keying on CurrentPid see kswapd, not the
+  // kernel thread) — policies keying on CurrentTask see kswapd, not the
   // reader that happened to trip the wakeup. Matches kernel semantics.
   TaskContext task() const { return lane_.task(); }
 

@@ -183,6 +183,23 @@ TEST_F(ChaosTest, AllPoliciesSurviveKernelFaultStorm) {
   }
 }
 
+// IR hash maps fail updates on bpf.map.update, as bpf::HashMap does, so
+// the storm above reaches the IR policies too. Here ir_lfu's frequency map
+// refuses every insert: every folio scores 0, and the cache still serves
+// correct pages within its limit.
+TEST_F(ChaosTest, IrHashMapUpdatesHonourTheMapFaultPoint) {
+  auto rig = MakeRig("ir_lfu");
+  FaultSchedule always;
+  always.every_kth = 1;
+  FaultInjector::Global().Arm(fault::points::kBpfMapUpdate, always);
+  AccessStream stream(4242);
+  for (int i = 0; i < 600; ++i) {
+    ASSERT_TRUE(rig->ReadPage(stream.NextPage()).ok());
+  }
+  EXPECT_GT(FaultInjector::Global().fires(fault::points::kBpfMapUpdate), 0u);
+  EXPECT_LE(rig->cg->charged_pages(), rig->cg->limit_pages());
+}
+
 TEST_F(ChaosTest, TrippedCgroupConvergesToDefaultPolicyHitRate) {
   // Baseline: the default policy, no ext attachment, same access stream.
   auto base = MakeRig("");

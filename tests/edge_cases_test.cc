@@ -229,7 +229,7 @@ TEST_F(EdgeCaseTest, MisbehavingRemovalProgramStillCleansUp) {
   };
   ops.folio_removed = [](CacheExtApi& api, Folio*) {
     for (int i = 0; i < 100; ++i) {
-      (void)api.CurrentPid();  // burn the budget, "forget" to clean up
+      (void)api.CurrentTask();  // burn the budget, "forget" to clean up
     }
   };
   auto policy = loader_->Attach(cg_, std::move(ops));

@@ -342,8 +342,8 @@ TEST_F(EvictionListTest, UnlinkForRemovalCleansAnyList) {
 }
 
 TEST_F(EvictionListTest, CurrentTaskDefaultsToZero) {
-  EXPECT_EQ(api_.CurrentPid(), 0);
-  EXPECT_EQ(api_.CurrentTid(), 0);
+  EXPECT_EQ(api_.CurrentTask().pid, 0);
+  EXPECT_EQ(api_.CurrentTask().tid, 0);
 }
 
 // Property test: random kfunc call sequences vs a reference model of

@@ -9,6 +9,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/bpf/ir/compile.h"
 #include "src/cache_ext/loader.h"
 #include "src/fault/fault_injector.h"
 #include "src/pagecache/page_cache.h"
@@ -263,7 +264,7 @@ TEST_F(FolioOrderTest, ReadaheadMisfireContainedByClamp) {
 TEST_F(FolioOrderTest, IrReadaheadPolicyDrivesBothHooks) {
   // End-to-end through the IR pipeline: the ir_readahead policy's verified
   // programs select multi-order folios and boost sequential windows.
-  auto ops = policies::MakeIrReadaheadOps();
+  auto ops = bpf::ir::CompileToOps(policies::IrReadaheadPolicy());
   ASSERT_TRUE(ops.ok());
   ASSERT_TRUE(loader_->Attach(cg_, std::move(*ops)).ok());
   Lane lane(0, TaskContext{1, 1}, 1);

@@ -7,10 +7,11 @@
 #include <memory>
 #include <vector>
 
+#include "src/bpf/ir/compile.h"
 #include "src/cache_ext/framework.h"
 #include "src/cache_ext/loader.h"
 #include "src/pagecache/page_cache.h"
-#include "src/policies/classic.h"
+#include "src/policies/ir_policies.h"
 
 namespace cache_ext {
 namespace {
@@ -212,7 +213,9 @@ TEST_F(FrameworkTest, AttachIntroducesPreexistingFolios) {
 
 TEST_F(FrameworkTest, EvictionUsesPolicyProposals) {
   // A policy that tracks folios FIFO and proposes them.
-  ASSERT_TRUE(loader_->Attach(cg_, policies::MakeFifoOps()).ok());
+  auto fifo = bpf::ir::CompileToOps(policies::IrFifoPolicy());
+  ASSERT_TRUE(fifo.ok());
+  ASSERT_TRUE(loader_->Attach(cg_, std::move(*fifo)).ok());
   Lane lane = MakeLane();
   auto as = pc_->OpenFile("/f");
   ASSERT_TRUE(as.ok());
@@ -356,7 +359,7 @@ TEST_F(FrameworkTest, ProgramBudgetAbortCounted) {
   ops.helper_budget = 4;
   ops.folio_added = [](CacheExtApi& api, Folio*) {
     for (int i = 0; i < 100; ++i) {
-      (void)api.CurrentPid();  // burns helper budget
+      (void)api.CurrentTask();  // burns helper budget
     }
   };
   auto policy = loader_->Attach(cg_, std::move(ops));

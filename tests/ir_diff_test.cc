@@ -43,6 +43,7 @@
 #include "src/cache_ext/eviction_list.h"
 #include "src/mm/address_space.h"
 #include "src/mm/folio.h"
+#include "src/pagecache/current_task.h"
 #include "src/policies/ir_policies.h"
 
 namespace cache_ext {
@@ -203,6 +204,11 @@ class ProgramGen {
   }
 
   void EmitCtxLoad() {
+    if (hook_ == Hook::kEvictFolios) {
+      b_.CtxLoad(AnyReg(), rng_.Chance(50) ? CtxField::kNrRequested
+                                           : CtxField::kNrProposed);
+      return;
+    }
     if (IsFolioHook()) {
       // folio hooks: the only readable field is the folio pointer; turn it
       // into its identity key and restore the scalar invariant.
@@ -400,7 +406,15 @@ class IrDiffTest : public ::testing::Test {
       HookCtx ha;
       HookCtx hb;
       AdmissionCtx admit;
-      if (hook == Hook::kAdmitFolio) {
+      EvictionCtx evict;
+      if (hook == Hook::kEvictFolios) {
+        // No generated program loops, so nothing writes the ctx back.
+        evict.nr_candidates_requested = rng.U(1, kMaxEvictionBatch);
+        evict.nr_candidates_proposed =
+            rng.U(0, evict.nr_candidates_requested);
+        ha.evict = &evict;
+        hb.evict = &evict;
+      } else if (hook == Hook::kAdmitFolio) {
         admit.index = rng.U(0, 1u << 20);
         admit.is_write = rng.Chance(50);
         ha.admit = &admit;
@@ -438,9 +452,10 @@ TEST_F(IrDiffTest, RandomizedProgramsAgreeAcrossBackends) {
   int verified = 0;
   int rejected = 0;
   static constexpr Hook kHooks[] = {Hook::kAdmitFolio, Hook::kFolioAdded,
-                                    Hook::kFolioAccessed, Hook::kFolioRemoved};
+                                    Hook::kFolioAccessed, Hook::kFolioRemoved,
+                                    Hook::kEvictFolios};
   for (int attempt = 0; attempt < target * 4 && verified < target; ++attempt) {
-    const Hook hook = kHooks[rng.U(0, 3)];
+    const Hook hook = kHooks[rng.U(0, 4)];
     const IrPolicy policy = GenPolicy(rng, hook, attempt);
     VerifierLog log;
     auto analysis = bpf::verifier::AnalyzeIrPolicy(policy, &log);
@@ -468,10 +483,21 @@ TEST_F(IrDiffTest, BuiltinPoliciesAgreeAcrossBackends) {
     const char* what;
     IrPolicy policy;
   };
+  constexpr TaskContext kScanTask{77, 78};
+  constexpr TaskContext kOtherTask{100, 101};
   std::vector<Case> cases;
+  cases.push_back({"noop", policies::IrNoopPolicy()});
   cases.push_back({"ir_fifo", policies::IrFifoPolicy()});
   cases.push_back({"ir_lru", policies::IrLruPolicy()});
   cases.push_back({"ir_lfu", policies::IrLfuPolicy(policies::IrLfuParams{})});
+  // A one-folio skip, so four folios exercise both verdicts.
+  cases.push_back({"mru", policies::IrMruPolicy({.skip_fresh = 1})});
+  cases.push_back(
+      {"get_scan", policies::IrGetScanPolicy({.scan_pids = {kScanTask.pid},
+                                              .capacity_pages = 16})});
+  cases.push_back({"admission_filter",
+                   policies::IrAdmissionFilterPolicy(
+                       {.filtered_tids = {kScanTask.tid}})});
 
   Rng rng(DiffSeed() ^ 0x5151);
   for (Case& c : cases) {
@@ -492,6 +518,8 @@ TEST_F(IrDiffTest, BuiltinPoliciesAgreeAcrossBackends) {
                                        Hook::kFolioAccessed,
                                        Hook::kFolioRemoved};
     for (int round = 0; round < 6; ++round) {
+      // GET-SCAN routes by the acting pid; the filter keys on the tid.
+      ScopedCurrentTask task(rng.Chance(50) ? kScanTask : kOtherTask);
       for (const Hook hook : kEvents) {
         Folio* folio = folios_[rng.U(0, folios_.size() - 1)].get();
         HookCtx hctx;
@@ -505,6 +533,40 @@ TEST_F(IrDiffTest, BuiltinPoliciesAgreeAcrossBackends) {
         // across runtimes by construction, so only charges are compared.
         EXPECT_EQ(ra.charges, rb.charges) << c.what;
         EXPECT_EQ(ra.aborted, rb.aborted) << c.what;
+      }
+      // An eviction request: both backends propose the same folios, in the
+      // same order, for the same charges.
+      EvictionCtx ea;
+      EvictionCtx eb;
+      ea.nr_candidates_requested = eb.nr_candidates_requested = rng.U(1, 4);
+      HookCtx evict_a;
+      HookCtx evict_b;
+      evict_a.evict = &ea;
+      evict_b.evict = &eb;
+      const InvokeResult va = Invoke(pair.oracle.get(), nullptr,
+                                     Hook::kEvictFolios, api_a_, evict_a,
+                                     1u << 16);
+      const InvokeResult vb = Invoke(nullptr, pair.jit.get(),
+                                     Hook::kEvictFolios, api_b_, evict_b,
+                                     1u << 16);
+      EXPECT_EQ(va.charges, vb.charges) << c.what;
+      EXPECT_EQ(ea.nr_candidates_proposed, eb.nr_candidates_proposed)
+          << c.what;
+      EXPECT_EQ(ea.candidates, eb.candidates) << c.what;
+      if (c.policy.HookPresent(Hook::kAdmitFolio)) {
+        AdmissionCtx admit;
+        admit.tid = rng.Chance(50) ? kScanTask.tid : kOtherTask.tid;
+        admit.is_write = rng.Chance(30);
+        HookCtx admit_ctx;
+        admit_ctx.admit = &admit;
+        const InvokeResult aa = Invoke(pair.oracle.get(), nullptr,
+                                       Hook::kAdmitFolio, api_a_, admit_ctx,
+                                       1u << 16);
+        const InvokeResult ab = Invoke(nullptr, pair.jit.get(),
+                                       Hook::kAdmitFolio, api_b_, admit_ctx,
+                                       1u << 16);
+        EXPECT_EQ(aa.r0, ab.r0) << c.what;
+        EXPECT_EQ(aa.charges, ab.charges) << c.what;
       }
     }
     ExpectMapsEqual(*pair.oracle, *pair.jit_interp, c.what);

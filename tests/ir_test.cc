@@ -1,9 +1,9 @@
 // End-to-end tests for the policy IR (src/bpf/ir/): the builder, the
-// interpreter, CompileToOps, and the three IR built-ins (ir_fifo / ir_lru /
-// ir_lfu) loaded through the real loader. The headline property: the
-// ProgramSpec these policies attach with is DERIVED by the abstract
-// interpreter, and the derived numbers match the hand-declared specs of the
-// equivalent std::function policies exactly.
+// interpreter, CompileToOps, and the IR built-ins loaded through the real
+// loader. The headline property: the ProgramSpec these policies attach with
+// is DERIVED by the abstract interpreter, and the derived numbers match the
+// specs the std::function versions of FIFO, MRU, GET-SCAN and the admission
+// filter used to hand-declare, exactly.
 
 #include <gtest/gtest.h>
 
@@ -120,7 +120,7 @@ TEST(IrInterpTest, ArithmeticBranchesAndMaps) {
 // --- Derived specs ------------------------------------------------------
 
 TEST(IrDerivedSpecTest, FifoMatchesHandDeclaredNumbers) {
-  auto ops = policies::MakeIrFifoOps();
+  auto ops = bpf::ir::CompileToOps(policies::IrFifoPolicy());
   ASSERT_TRUE(ops.ok()) << ops.status().message();
   const auto& spec = ops->spec;
   ASSERT_TRUE(spec.declared);
@@ -135,7 +135,7 @@ TEST(IrDerivedSpecTest, FifoMatchesHandDeclaredNumbers) {
   // FIFO ignores accesses.
   EXPECT_EQ(spec.hook(Hook::kFolioAccessed).max_helper_calls, 0u);
   // evict_folios: 1 for the iterate itself + 4 * batch(32) per-folio
-  // charges = 129/128, same as the hand-written MakeFifoOps declaration.
+  // charges = 129/128, what the std::function FIFO declared by hand.
   EXPECT_EQ(spec.hook(Hook::kEvictFolios).max_helper_calls, 129u);
   EXPECT_EQ(spec.hook(Hook::kEvictFolios).max_loop_iters, 128u);
   EXPECT_TRUE(spec.hook(Hook::kEvictFolios).kfuncs.ContainsIterator());
@@ -147,8 +147,55 @@ TEST(IrDerivedSpecTest, FifoMatchesHandDeclaredNumbers) {
   EXPECT_EQ(spec.maps[0].max_entries, 1u);
 }
 
+// MRU, GET-SCAN and the admission filter derive exactly the specs their
+// std::function versions declared by hand: same bounds, kfuncs and lists.
+TEST(IrDerivedSpecTest, PortedPoliciesMatchTheirFormerDeclarations) {
+  PolicyParams params;
+  params.capacity_pages = kLimitPages;
+  params.scan_pids = {7};
+  params.filter_tids = {8, 9};
+
+  auto mru = MakePolicy("mru", params);
+  ASSERT_TRUE(mru.ok()) << mru.status().message();
+  const uint64_t scan = 4 + 4 * kMaxEvictionBatch;  // skip_fresh clamps to 4
+  EXPECT_EQ(mru->ops.spec.hook(Hook::kEvictFolios).max_helper_calls, 1 + scan);
+  EXPECT_EQ(mru->ops.spec.hook(Hook::kEvictFolios).max_loop_iters, scan);
+  EXPECT_EQ(mru->ops.spec.hook(Hook::kFolioAccessed).kfuncs,
+            KfuncSet({Kfunc::kListMove}));
+  EXPECT_EQ(mru->ops.spec.max_lists, 1u);
+
+  auto get_scan = MakePolicy("get_scan", params);
+  ASSERT_TRUE(get_scan.ok()) << get_scan.status().message();
+  const auto& gs = get_scan->ops.spec;
+  EXPECT_EQ(gs.max_lists, 2u);
+  EXPECT_EQ(gs.max_candidates_per_evict, kMaxEvictionBatch);
+  EXPECT_EQ(gs.hook(Hook::kPolicyInit).max_helper_calls, 2u);
+  EXPECT_EQ(gs.hook(Hook::kFolioAdded).max_helper_calls, 2u);
+  EXPECT_EQ(gs.hook(Hook::kFolioAdded).kfuncs,
+            KfuncSet({Kfunc::kCurrentTask, Kfunc::kListAdd}));
+  EXPECT_EQ(gs.hook(Hook::kFolioAccessed).max_helper_calls, 0u);
+  EXPECT_EQ(gs.hook(Hook::kFolioRemoved).max_helper_calls, 0u);
+  // SCAN pass (1 + 4 * batch) plus the GET score pass (1 + nr_scan).
+  EXPECT_EQ(gs.hook(Hook::kEvictFolios).max_helper_calls,
+            (1 + 4 * kMaxEvictionBatch) + (1 + 512));
+  EXPECT_EQ(gs.hook(Hook::kEvictFolios).max_loop_iters,
+            4 * kMaxEvictionBatch + 512);
+  EXPECT_EQ(gs.hook(Hook::kEvictFolios).kfuncs,
+            KfuncSet({Kfunc::kListIterate, Kfunc::kListIterateScore}));
+
+  auto filter = MakePolicy("admission_filter", params);
+  ASSERT_TRUE(filter.ok()) << filter.status().message();
+  const auto& af = filter->ops.spec;
+  EXPECT_TRUE(af.hook(Hook::kAdmitFolio).declared);
+  EXPECT_EQ(af.hook(Hook::kAdmitFolio).max_helper_calls, 0u);
+  EXPECT_TRUE(af.hook(Hook::kAdmitFolio).kfuncs.Empty());
+  EXPECT_EQ(af.hook(Hook::kEvictFolios).max_helper_calls, 0u);
+  EXPECT_EQ(af.max_lists, 0u);
+  EXPECT_EQ(af.max_candidates_per_evict, 0u);
+}
+
 TEST(IrDerivedSpecTest, LruAddsListMoveOnAccess) {
-  auto ops = policies::MakeIrLruOps();
+  auto ops = bpf::ir::CompileToOps(policies::IrLruPolicy());
   ASSERT_TRUE(ops.ok()) << ops.status().message();
   EXPECT_EQ(ops->spec.hook(Hook::kFolioAccessed).max_helper_calls, 1u);
   EXPECT_EQ(ops->spec.hook(Hook::kFolioAccessed).kfuncs,
@@ -157,7 +204,7 @@ TEST(IrDerivedSpecTest, LruAddsListMoveOnAccess) {
 
 TEST(IrDerivedSpecTest, LfuMatchesHandDeclaredNumbers) {
   policies::IrLfuParams params;  // nr_scan = 512
-  auto ops = policies::MakeIrLfuOps(params);
+  auto ops = bpf::ir::CompileToOps(policies::IrLfuPolicy(params));
   ASSERT_TRUE(ops.ok()) << ops.status().message();
   const auto& spec = ops->spec;
   // Score loop: 1 + nr_scan, like the hand-written MakeLfuOps.
@@ -171,8 +218,10 @@ TEST(IrDerivedSpecTest, LfuMatchesHandDeclaredNumbers) {
 
 // --- Full verification pipeline -----------------------------------------
 
-TEST(IrVerifyTest, AllThreeIrPoliciesPassAllPasses) {
-  for (const char* name : {"ir_fifo", "ir_lru", "ir_lfu"}) {
+TEST(IrVerifyTest, EveryIrPolicyPassesAllPasses) {
+  for (const char* name :
+       {"noop", "fifo", "mru", "get_scan", "admission_filter", "ir_fifo",
+        "ir_lru", "ir_lfu", "ir_readahead", "ir_wb_lsm"}) {
     PolicyParams params;
     params.capacity_pages = kLimitPages;
     auto bundle = MakePolicy(name, params);
@@ -192,7 +241,7 @@ TEST(IrVerifyTest, AllThreeIrPoliciesPassAllPasses) {
 }
 
 TEST(IrVerifyTest, TamperedEmbeddedSpecIsRejected) {
-  auto ops = policies::MakeIrFifoOps();
+  auto ops = bpf::ir::CompileToOps(policies::IrFifoPolicy());
   ASSERT_TRUE(ops.ok());
   // Claim a smaller worst case than the program can reach: the re-derived
   // spec no longer matches the embedded one.

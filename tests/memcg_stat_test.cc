@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/bpf/ir/compile.h"
 #include "src/cache_ext/loader.h"
 #include "src/cgroup/memcg_stat.h"
 #include "src/fault/fault_injector.h"
@@ -181,7 +182,7 @@ TEST_F(MemcgStatCoverageTest, EveryCounterMovesInSomeScenario) {
     // under ir_wb_lsm (a JIT-compiled policy whose should_writeback defers
     // small cold blocks). dirty_pages is a gauge: sampled before the sync.
     Rig rig(Background(true, true), 64);
-    auto wb = policies::MakeIrWbLsmOps();
+    auto wb = bpf::ir::CompileToOps(policies::IrWbLsmPolicy());
     ASSERT_TRUE(wb.ok());
     ASSERT_TRUE(rig.loader.Attach(rig.cg, std::move(*wb)).ok());
     for (uint64_t index = 0; index < 192; ++index) {

@@ -8,7 +8,6 @@
 
 #include "src/cache_ext/loader.h"
 #include "src/pagecache/page_cache.h"
-#include "src/policies/application_informed.h"
 #include "src/policies/classic.h"
 #include "src/policies/lhd.h"
 #include "src/policies/mglru_ext.h"

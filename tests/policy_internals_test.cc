@@ -11,10 +11,9 @@
 #include "src/cache_ext/framework.h"
 #include "src/mm/address_space.h"
 #include "src/pagecache/current_task.h"
-#include "src/policies/application_informed.h"
-#include "src/policies/classic.h"
 #include "src/policies/lhd.h"
 #include "src/policies/mglru_ext.h"
+#include "src/policies/policy_factory.h"
 #include "src/policies/s3fifo.h"
 
 namespace cache_ext {
@@ -239,11 +238,17 @@ TEST(LhdInternalsTest, SurvivesChurnWithoutAgent) {
 
 // --- GET-SCAN --------------------------------------------------------------------
 
-TEST(GetScanInternalsTest, RoutesByCurrentPid) {
-  policies::GetScanParams params;
-  params.scan_pids = {777};
+Ops GetScanOps() {
+  policies::PolicyParams params;
   params.capacity_pages = 256;
-  PolicyDriver driver(policies::MakeGetScanOps(params));
+  params.scan_pids = {777};
+  auto bundle = policies::MakePolicy("get_scan", params);
+  CHECK(bundle.ok());
+  return std::move(bundle->ops);
+}
+
+TEST(GetScanInternalsTest, RoutesByCurrentPid) {
+  PolicyDriver driver(GetScanOps());
 
   Folio* get_folio = nullptr;
   Folio* scan_folio = nullptr;
@@ -263,10 +268,7 @@ TEST(GetScanInternalsTest, RoutesByCurrentPid) {
 }
 
 TEST(GetScanInternalsTest, FallsBackToGetListWhenNoScans) {
-  policies::GetScanParams params;
-  params.scan_pids = {777};
-  params.capacity_pages = 256;
-  PolicyDriver driver(policies::MakeGetScanOps(params));
+  PolicyDriver driver(GetScanOps());
   ScopedCurrentTask task(TaskContext{100, 100});
   Folio* cold = driver.Add(1);
   Folio* warm = driver.Add(2);

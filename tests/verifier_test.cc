@@ -361,20 +361,6 @@ TEST(VerifierPass2Test, FabricatedCandidatePointerIsRejected) {
   EXPECT_TRUE(LogHasFailure(log, Check::kDryRunCandidates));
 }
 
-TEST(VerifierPass2Test, DryRunCanBeDisabled) {
-  // With the dry run off, a behavioural bug (leak) goes unnoticed as long
-  // as the declaration is coherent — pass 1 alone is not enough.
-  Ops ops = DeclaredFifoOps();
-  static Folio fabricated2;
-  ops.evict_folios = [](CacheExtApi&, EvictionCtx* ctx, MemCgroup*) {
-    ctx->Propose(&fabricated2);
-  };
-  bpf::verifier::VerifyOptions opts;
-  opts.dry_run = false;
-  VerifierLog log;
-  EXPECT_TRUE(VerifyPolicy(ops, &log, opts).ok());
-}
-
 // --- End to end --------------------------------------------------------------
 
 TEST(VerifierEndToEndTest, AllBuiltinPoliciesDeclareAndPass) {

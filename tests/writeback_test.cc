@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/bpf/ir/compile.h"
 #include "src/cache_ext/loader.h"
 #include "src/fault/fault_injector.h"
 #include "src/pagecache/page_cache.h"
@@ -481,7 +482,7 @@ TEST_F(WritebackTest, IrWbLsmPolicyDefersColdSmallBlocksUntilPressure) {
   options.writeback.background = true;
   auto rig = MakeRig(options, 256);
   rig->cg->SetDirtyRatios(64, 1024);  // derived: bg = 16, dirty = 256
-  auto ops = policies::MakeIrWbLsmOps();
+  auto ops = bpf::ir::CompileToOps(policies::IrWbLsmPolicy());
   ASSERT_TRUE(ops.ok()) << ops.status().message();
   ASSERT_TRUE(rig->loader->Attach(rig->cg, std::move(*ops)).ok());
   Lane lane(0, TaskContext{1, 1}, 1);

@@ -32,7 +32,7 @@ import sys
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # The kfunc methods of CacheExtApi (Table 2 of the paper plus the
-# current-task helpers). UnlinkForRemoval / nr_lists / Notify are
+# current-task helper). UnlinkForRemoval / nr_lists / Notify are
 # framework-internal and deliberately absent.
 KFUNC_METHODS = [
     "ListCreate",
@@ -41,8 +41,7 @@ KFUNC_METHODS = [
     "ListDel",
     "ListSize",
     "ListIdOf",
-    "CurrentPid",
-    "CurrentTid",
+    "CurrentTask",
     "ListIterate",
     "ListIterateScore",
 ]
