@@ -139,6 +139,10 @@ class FaultInjector {
   // Called by fault sites. Returns true when the fault should fire; fills
   // `magnitude` (if non-null) with the schedule's magnitude on fire.
   bool ShouldFail(std::string_view point, uint64_t* magnitude = nullptr);
+  // False while no injector has an armed point: the disarmed fast path.
+  static bool AnyArmed() {
+    return armed_.load(std::memory_order_relaxed) != 0;
+  }
 
   // Introspection (counts since the point was armed; reset by Arm/Disarm).
   uint64_t hits(std::string_view point) const;
@@ -161,14 +165,16 @@ class FaultInjector {
 
   mutable Mutex mu_;
   std::unordered_map<std::string, Point> points_ CACHE_EXT_GUARDED_BY(mu_);
-  // Fast disarmed path: number of armed points.
-  std::atomic<size_t> armed_{0};
+  // Armed points across every injector, so the disarmed path is one load of
+  // a constant-initialized global, with no call.
+  static inline std::atomic<size_t> armed_{0};
   std::atomic<uint64_t> total_fires_{0};
 };
 
 // Site-side helper: one atomic load when nothing is armed.
 inline bool InjectFault(std::string_view point, uint64_t* magnitude = nullptr) {
-  return FaultInjector::Global().ShouldFail(point, magnitude);
+  return FaultInjector::AnyArmed() &&
+         FaultInjector::Global().ShouldFail(point, magnitude);
 }
 
 // RAII arming for tests: arms on construction, disarms on destruction.
